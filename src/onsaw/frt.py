@@ -360,6 +360,29 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
     return lhs.first_mismatch(rhs, window), window
 
 
+def _centrality_failures(dim: int, cutoff: int):
+    """Entries of T+- whose bracket with c is nonzero, in loop order."""
+    cel = la.central(dim)
+    for sign in (1, -1):
+        for e, m in build_T(sign, dim, cutoff).coeffs.items():
+            for i, row in enumerate(m, 1):
+                for j, v in enumerate(row, 1):
+                    if not la.bracket(v, cel).is_zero():
+                        yield f"sign {sign:+d} exponent {e} entry ({i},{j})"
+
+
+def _trace_failures(dim: int, cutoff: int):
+    """Coefficients of T+- with a nonzero trace, in loop order; tracelessness
+    is structural, so diagonal sums must canonicalize to zero."""
+    for sign in (1, -1):
+        for e, m in build_T(sign, dim, cutoff).coeffs.items():
+            tr = la.zero(dim)
+            for i in range(dim):
+                tr = tr + m[i][i]
+            if not tr.is_zero():
+                yield f"sign {sign:+d} exponent {e}: trace {tr}"
+
+
 def check_frt(dim: int, cutoff: int) -> Report:
     """All exchange relations at the given truncation."""
     report = Report("verify frt", {"n": dim, "cutoff": cutoff})
@@ -369,28 +392,8 @@ def check_frt(dim: int, cutoff: int) -> Report:
             mism, window = frt_relation_mismatch(dim, cutoff, sa, sb)
             detail = None if mism is None else mismatch_detail(mism)
             report.add(f"exchange {name} [window {window}]", mism is None, detail)
-        # centrality: bracket of every entry with c vanishes
-        bad = None
-        cel = la.central(dim)
-        for sign in (1, -1):
-            t = build_T(sign, dim, cutoff)
-            for e, m in t.coeffs.items():
-                for row in m:
-                    for v in row:
-                        if not la.bracket(v, cel).is_zero():
-                            bad = f"exponent {e}"
-                            break
+        bad = next(_centrality_failures(dim, cutoff), None)
         report.add("centrality", bad is None, bad)
-        # tracelessness is structural: diagonal sums canonicalize to zero
-        bad = None
-        for sign in (1, -1):
-            t = build_T(sign, dim, cutoff)
-            for e, m in t.coeffs.items():
-                tr = la.zero(dim)
-                for i in range(dim):
-                    tr = tr + m[i][i]
-                if not tr.is_zero():
-                    bad = f"sign {sign:+d} exponent {e}: trace {tr}"
-                    break
+        bad = next(_trace_failures(dim, cutoff), None)
         report.add("tracelessness", bad is None, bad)
     return report

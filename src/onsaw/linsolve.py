@@ -109,10 +109,8 @@ def _content_reduce(polys: list) -> list:
             break
         g = poly_gcd(g, p)
     if not g.is_const() and not g.is_zero():
-        try:
-            polys = [p.exact_div(g) if not p.is_zero() else p for p in polys]
-        except ExactDivisionError:
-            pass
+        # g divides every member; an inexact division is a bug and raises
+        polys = [p.exact_div(g) if not p.is_zero() else p for p in polys]
     return polys
 
 
@@ -220,11 +218,9 @@ def _frac_reduce(fr):
         return (n, ParamPoly.one())
     g = poly_gcd(n, d)
     if not g.is_const() and not g.is_zero():
-        try:
-            n = n.exact_div(g)
-            d = d.exact_div(g)
-        except ExactDivisionError:
-            pass
+        # g divides both; an inexact division is a bug and raises
+        n = n.exact_div(g)
+        d = d.exact_div(g)
     if d.is_const():
         q = d.const_value()
         return (n * (1 / q), ParamPoly.one())

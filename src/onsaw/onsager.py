@@ -16,6 +16,7 @@ B_ij^(n) = e_ij^(n) + (-1)^(i+j+1+nN) e_ji^(-n).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import loop_algebra as la
 from .exactnum import SpectralLaurent
@@ -183,76 +184,58 @@ def check_UI_relations(dim: int, levels: int) -> Report:
         def G(i, n):
             return canonicalize_B(dim, i, i, n) - canonicalize_B(dim, i + 1, i + 1, n)
 
-        bad = None
-        for (i, j) in idx:
-            if bad:
-                break
-            for (k, l) in idx:
-                if bad:
-                    break
-                for m in rng:
-                    if bad:
-                        break
-                    for n in rng:
-                        if m < n:
-                            continue  # stated for m >= n; rest is antisymmetry
-                        lhs = bracket_abstract(A(i, j, m), A(k, l, n))
-                        rhs = zero(dim)
-                        if j == k:
-                            rhs = rhs + A(i, l, m + n)
-                        if i == l:
-                            rhs = rhs - A(k, j, m + n)
-                        if i == k:
-                            if _ui_theta(j < l):
-                                rhs = rhs + A(j, l, n - m).scale(parity_sign(i + j + 1 + m * dim))
-                            if _ui_theta(l < j):
-                                rhs = rhs + A(l, j, m - n).scale(parity_sign(i + l + n * dim))
-                        if j == l:
-                            if _ui_theta(i < k):
-                                rhs = rhs + A(i, k, m - n).scale(parity_sign(k + l + 1 + n * dim))
-                            if _ui_theta(k < i):
-                                rhs = rhs + A(k, i, n - m).scale(parity_sign(i + l + m * dim))
-                        if i == k and j == l:
-                            # telescoped sum of G_s^(m-n), s = i..j-1, either order
-                            gsum = canonicalize_B(dim, i, i, m - n) - canonicalize_B(dim, j, j, m - n)
-                            rhs = rhs + gsum.scale(parity_sign(i + j + 1 + n * dim))
-                        if not (lhs - rhs).is_zero():
-                            bad = f"[A[{i},{j}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
-                            break
+        # each generator yields the relation's failures in loop order;
+        # the report names the first
+        def aa_failures():
+            for (i, j), (k, l), m, n in product(idx, idx, rng, rng):
+                if m < n:
+                    continue  # stated for m >= n; rest is antisymmetry
+                lhs = bracket_abstract(A(i, j, m), A(k, l, n))
+                rhs = zero(dim)
+                if j == k:
+                    rhs = rhs + A(i, l, m + n)
+                if i == l:
+                    rhs = rhs - A(k, j, m + n)
+                if i == k:
+                    if _ui_theta(j < l):
+                        rhs = rhs + A(j, l, n - m).scale(parity_sign(i + j + 1 + m * dim))
+                    if _ui_theta(l < j):
+                        rhs = rhs + A(l, j, m - n).scale(parity_sign(i + l + n * dim))
+                if j == l:
+                    if _ui_theta(i < k):
+                        rhs = rhs + A(i, k, m - n).scale(parity_sign(k + l + 1 + n * dim))
+                    if _ui_theta(k < i):
+                        rhs = rhs + A(k, i, n - m).scale(parity_sign(i + l + m * dim))
+                if i == k and j == l:
+                    # telescoped sum of G_s^(m-n), s = i..j-1, either order
+                    gsum = canonicalize_B(dim, i, i, m - n) - canonicalize_B(dim, j, j, m - n)
+                    rhs = rhs + gsum.scale(parity_sign(i + j + 1 + n * dim))
+                if not (lhs - rhs).is_zero():
+                    yield f"[A[{i},{j}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
+
+        def ga_failures():
+            for gi, (k, l), m, n in product(range(1, dim), idx, rng, rng):
+                lhs = bracket_abstract(G(gi, m), A(k, l, n))
+                w = (
+                    (1 if gi == k else 0)
+                    - (1 if k == gi + 1 else 0)
+                    - (1 if l == gi else 0)
+                    + (1 if l == gi + 1 else 0)
+                )
+                rhs = (A(k, l, m + n) - A(k, l, n - m).scale(parity_sign(m * dim))).scale(w)
+                if not (lhs - rhs).is_zero():
+                    yield f"[G[{gi}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
+
+        def gg_failures():
+            for gi, gj, m, n in product(range(1, dim), range(1, dim), rng, rng):
+                if not bracket_abstract(G(gi, m), G(gj, n)).is_zero():
+                    yield f"[G[{gi}]^({m}), G[{gj}]^({n})] nonzero"
+
+        bad = next(aa_failures(), None)
         report.add("AA-relation", bad is None, bad)
-
-        bad = None
-        for gi in range(1, dim):
-            if bad:
-                break
-            for (k, l) in idx:
-                if bad:
-                    break
-                for m in rng:
-                    if bad:
-                        break
-                    for n in rng:
-                        lhs = bracket_abstract(G(gi, m), A(k, l, n))
-                        w = (
-                            (1 if gi == k else 0)
-                            - (1 if k == gi + 1 else 0)
-                            - (1 if l == gi else 0)
-                            + (1 if l == gi + 1 else 0)
-                        )
-                        rhs = (A(k, l, m + n) - A(k, l, n - m).scale(parity_sign(m * dim))).scale(w)
-                        if not (lhs - rhs).is_zero():
-                            bad = f"[G[{gi}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
-                            break
+        bad = next(ga_failures(), None)
         report.add("GA-relation", bad is None, bad)
-
-        bad = None
-        for gi in range(1, dim):
-            for gj in range(1, dim):
-                for m in rng:
-                    for n in rng:
-                        if not bracket_abstract(G(gi, m), G(gj, n)).is_zero():
-                            bad = f"[G[{gi}]^({m}), G[{gj}]^({n})] nonzero"
-                            break
+        bad = next(gg_failures(), None)
         report.add("GG-commute", bad is None, bad)
     return report
 

@@ -2,8 +2,11 @@
 
 ``TensorOperator`` is a sparse N^k x N^k matrix of rational functions,
 stored as Laurent-polynomial numerators over one shared master
-denominator.  Identity checks clear that denominator and test numerators
-for identical vanishing, so no gcd or division is ever needed.
+denominator.  Each identity declares a clearing polynomial built from its
+operands' own denominators; ``over`` moves an operator onto it by exact
+Laurent division of the clearing by the operator's denominator, and only
+operators over the same denominator are added.  The residual numerators
+are then tested for identical vanishing.  No gcd is ever taken.
 
 Contents: the rational r-matrix r(x/y) of type A, its folded non-standard
 partner rbar(x,y), leg embedding / transposition / partial trace, and the
@@ -106,19 +109,31 @@ class TensorOperator:
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         if (self.legs, self.dim) != (other.legs, other.dim):
             raise ValueError("operator shape mismatch")
-        if self.den == other.den:
-            out = self.copy()
-            for r, row in other.rows.items():
-                for c, v in row.items():
-                    _acc(out.rows, r, c, v)
-            return out
-        out = TensorOperator(self.legs, self.dim, self.den * other.den)
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                _acc(out.rows, r, c, v * other.den)
+        if self.den != other.den:
+            raise ValueError(
+                "operator denominators differ; put both over a declared "
+                "clearing polynomial with over() before adding"
+            )
+        out = self.copy()
         for r, row in other.rows.items():
             for c, v in row.items():
-                _acc(out.rows, r, c, v * self.den)
+                _acc(out.rows, r, c, v)
+        return out
+
+    def over(self, clearing: SpectralLaurent) -> "TensorOperator":
+        """The same operator with its numerators over ``clearing``.
+
+        The clearing polynomial must be a multiple of the master
+        denominator (up to a Laurent monomial unit); otherwise the exact
+        division raises ``ExactDivisionError``.
+        """
+        mult = laurent_exact_div(clearing, self.den)
+        out = TensorOperator(self.legs, self.dim, clearing)
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                w = v * mult
+                if not w.is_zero():
+                    out.rows.setdefault(r, {})[c] = w
         return out
 
     def __neg__(self) -> "TensorOperator":
@@ -282,13 +297,6 @@ class TensorOperator:
             {r: {c: sub(v) for c, v in row.items()} for r, row in self.rows.items()},
         )
 
-    def rename_vars(self, mapping: dict) -> "TensorOperator":
-        return TensorOperator(
-            self.legs, self.dim, self.den.rename(mapping),
-            {r: {c: v.rename(mapping) for c, v in row.items()}
-             for r, row in self.rows.items()},
-        )
-
     # -- residual inspection -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -306,19 +314,10 @@ class TensorOperator:
         return None
 
     def cleared(self, clearing: SpectralLaurent) -> dict:
-        """Entries times clearing/den as plain Laurent polynomials.
-
-        The clearing polynomial must be a multiple of the master
-        denominator (up to a Laurent monomial unit).
-        """
-        mult = laurent_exact_div(clearing, self.den)
-        out = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                w = v * mult
-                if not w.is_zero():
-                    out[(r, c)] = w
-        return out
+        """Entries over ``clearing`` as plain Laurent polynomials keyed by
+        (row, col); ``clearing`` is declared as for ``over``."""
+        return {(r, c): v for r, row in self.over(clearing).rows.items()
+                for c, v in row.items()}
 
 
 def _acc(rows: dict, r: int, c: int, v: SpectralLaurent) -> None:
@@ -331,6 +330,14 @@ def _acc(rows: dict, r: int, c: int, v: SpectralLaurent) -> None:
             del rows[r]
     else:
         row[c] = s
+
+
+def _over_sum(clearing: SpectralLaurent, *ops: TensorOperator) -> TensorOperator:
+    """Sum of the operators, each put over the declared clearing polynomial."""
+    out = ops[0].over(clearing)
+    for op in ops[1:]:
+        out = out + op.over(clearing)
+    return out
 
 
 def parity_sign(n: int) -> int:
@@ -393,22 +400,33 @@ def u_signs(dim: int) -> list:
     return [parity_sign(j) for j in range(1, dim + 1)]
 
 
+def rbar_clearing(dim: int, xv: str = "x", yv: str = "y") -> SpectralLaurent:
+    """(x - y)(x y - (-1)^N), the master denominator of rbar(x,y)."""
+    x = var(xv)
+    y = var(yv)
+    return (x - y) * (x * y - _sl(parity_sign(dim)))
+
+
 def build_rbar_folded(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
-    """rbar(x,y) = r(x/y) + U_1 r^{t1}((-1)^N/(x y)) U_1^{-1}."""
+    """rbar(x,y) = r(x/y) + U_1 r^{t1}((-1)^N/(x y)) U_1^{-1}, over the
+    closed form's denominator ``rbar_clearing``."""
     sigma = parity_sign(dim)
     base = build_r(dim, xv, yv)
     folded = build_r_single(dim, "_z").transpose_leg(1)
     folded = folded.substitute("_z", sigma, {xv: -1, yv: -1})
     signs = u_signs(dim)
     folded = folded.scale_leg_diag(1, signs, "left").scale_leg_diag(1, signs, "right")
-    return base + folded
+    return _over_sum(rbar_clearing(dim, xv, yv), base, folded)
 
 
 def build_rbar(dim: int, xv: str = "x", yv: str = "y") -> tuple:
-    """Both realizations of the folded r-matrix: (folded, closed form).
+    """Both realizations of the folded r-matrix: (folded, closed form),
+    each over ``rbar_clearing``."""
+    return build_rbar_folded(dim, xv, yv), rbar_closed(dim, xv, yv)
 
-    The closed form carries master denominator (x - y)(x y - (-1)^N).
-    """
+
+def rbar_closed(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
+    """rbar(x,y) in closed form, over ``rbar_clearing``."""
     if dim < 2:
         raise ValueError("need N >= 2")
     sigma = parity_sign(dim)
@@ -417,7 +435,7 @@ def build_rbar(dim: int, xv: str = "x", yv: str = "y") -> tuple:
     xy = x * y
     dxy = x - y
     dprod = xy - _sl(sigma)
-    op = TensorOperator(2, dim, dxy * dprod)
+    op = TensorOperator(2, dim, rbar_clearing(dim, xv, yv))
     # -((x+y)/(x-y) + (xy+s)/(s-xy)) = -(x+y)/(x-y) + (xy+s)/(xy-s)
     weight = (xy + sigma) * dxy - (x + y) * dprod
     for i in range(1, dim + 1):
@@ -438,20 +456,13 @@ def build_rbar(dim: int, xv: str = "x", yv: str = "y") -> tuple:
                 op.put((j, j), (i, i), xy * dxy * (2 * s))
             else:
                 op.put((j, j), (i, i), dxy * (2 * s * sigma))
-    return build_rbar_folded(dim, xv, yv), op
-
-
-def rbar_closed(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
-    return build_rbar(dim, xv, yv)[1]
+    return op
 
 
 def cleared_rbar_pair(dim: int) -> tuple:
     """(clearing, rbar_12(x,y), rbar_21(y,x)), the latter two as cleared
     Laurent-polynomial entry maps over the clearing (x-y)(xy-(-1)^N)."""
-    sigma = parity_sign(dim)
-    x = var("x")
-    y = var("y")
-    clearing = (x - y) * (x * y - _sl(sigma))
+    clearing = rbar_clearing(dim)
     r12 = rbar_closed(dim, "x", "y").cleared(clearing)
     r21 = rbar_closed(dim, "y", "x").embed_legs((2, 1), 2).cleared(clearing)
     return clearing, r12, r21
@@ -465,11 +476,13 @@ def skew_residual(dim: int, r12=None) -> TensorOperator:
     if r12 is None:
         r12 = build_r(dim, "x", "y")
     r21 = build_r(dim, "y", "x").embed_legs((2, 1), 2)
-    return r12 + r21
+    return _over_sum(r12.den, r12, r21)
 
 
 def cybe_residual(r13: TensorOperator, r23: TensorOperator, r12: TensorOperator) -> TensorOperator:
-    return r13.commutator(r23) - (r13 + r23).commutator(r12)
+    """[r13, r23] - [r13 + r23, r12] over the clearing D12 D13 D23."""
+    return _over_sum(r12.den * r13.den * r23.den,
+                     r13.commutator(r23), -r13.commutator(r12), -r23.commutator(r12))
 
 
 def cybe_operators(dim: int):
@@ -480,7 +493,10 @@ def cybe_operators(dim: int):
 
 
 def ns_cybe_residual(r13, r23, r21, r12) -> TensorOperator:
-    return r13.commutator(r23) - r21.commutator(r13) - r23.commutator(r12)
+    """[r13, r23] - [r21, r13] - [r23, r12] over the clearing D12 D13 D23
+    (r21's denominator is D12 up to sign)."""
+    return _over_sum(r12.den * r13.den * r23.den,
+                     r13.commutator(r23), -r21.commutator(r13), -r23.commutator(r12))
 
 
 def ns_cybe_operators(dim: int, builder=rbar_closed):

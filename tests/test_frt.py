@@ -124,6 +124,31 @@ def test_frt_relations_small():
     assert rep.ok(), [c.detail for c in rep.failures()]
 
 
+def test_frt_locators_name_first_failure(monkeypatch):
+    # each check fails at one entry of T+ and one of T-; the detail names
+    # the T+ one, which comes first in loop order
+    dim, cutoff = 2, 3
+    cel = la.central(dim)
+    build_T = frt.build_T
+    planted = [build_T(1, dim, cutoff).coeffs[1][0][1],
+               build_T(-1, dim, cutoff).coeffs[-1][1][0]]
+    bracket = la.bracket
+
+    def bad_bracket(a, b):
+        return a if b == cel and a in planted else bracket(a, b)
+
+    def bad_T(sign, dim, cutoff):
+        t = build_T(sign, dim, cutoff)
+        t.coeffs[sign][0][0] = t.coeffs[sign][0][0] + cel
+        return t
+
+    monkeypatch.setattr(la, "bracket", bad_bracket)
+    monkeypatch.setattr(frt, "build_T", bad_T)
+    detail = {c.name: c.detail for c in frt.check_frt(dim, cutoff).failures()}
+    assert detail["centrality"] == "sign +1 exponent 1 entry (1,2)"
+    assert detail["tracelessness"].startswith("sign +1 exponent 1:")
+
+
 def test_frt_central_term_negative_control():
     mism, window = frt.frt_relation_mismatch(2, 6, 1, -1, include_central=False)
     assert mism is not None

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from onsaw.exactnum import ParamPoly
+import pytest
+
+from onsaw import linsolve
+from onsaw.exactnum import ExactDivisionError, ParamPoly
 from onsaw.linsolve import (
     SparseEliminator,
     matrix_rank,
@@ -94,3 +97,14 @@ def test_fill_in_back_substitution():
     assert sols[2] == {0: A}
     assert sols[1] == {0: -A}
     assert sols[0] == {0: A}
+
+
+def test_inexact_gcd_is_not_swallowed(monkeypatch):
+    # a gcd that does not divide cannot happen; if it does, it must raise
+    elim = SparseEliminator()
+    elim.add_row({0: A}, {0: A + 1})
+    monkeypatch.setattr(linsolve, "poly_gcd", lambda a, b: A + 7)
+    with pytest.raises(ExactDivisionError):  # row content reduction
+        SparseEliminator().add_row({0: A + 1, 1: A}, {})
+    with pytest.raises(ExactDivisionError):  # reduction of a solution fraction
+        elim.solve([0])

@@ -112,6 +112,17 @@ def test_ui_relations():
     assert rep.ok(), [c.detail for c in rep.failures()]
 
 
+def test_ui_locators_name_first_failure(monkeypatch):
+    # with every bracket off by its first argument, each relation fails at
+    # all its entries and the detail names the first in loop order
+    bracket = on.bracket_abstract
+    monkeypatch.setattr(on, "bracket_abstract", lambda a, b: bracket(a, b) + a)
+    detail = {c.name: c.detail for c in on.check_UI_relations(2, 1).failures()}
+    assert detail["AA-relation"].startswith("[A[1,2]^(-1), A[1,2]^(-1)] residual")
+    assert detail["GA-relation"].startswith("[G[1]^(-1), A[1,2]^(-1)] residual")
+    assert detail["GG-commute"] == "[G[1]^(-1), G[1]^(-1)] nonzero"
+
+
 def test_ui_specific_example():
     # [G_1^(1), A_13^(1)] = A_13^(2) + A_13^(0) at rank 3
     g = on.canonicalize_B(3, 1, 1, 1) - on.canonicalize_B(3, 2, 2, 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from onsaw import rmatrix as rm
-from onsaw.exactnum import RationalFn, SpectralLaurent
+from onsaw.exactnum import ExactDivisionError, RationalFn, SpectralLaurent
 
 X = SpectralLaurent.variable("x")
 Y = SpectralLaurent.variable("y")
@@ -67,6 +67,21 @@ def test_partial_trace_and_transpose():
     assert t.entry((1,), (2,)).is_zero()
     tt = a.transpose_leg(1).transpose_leg(1)
     assert (tt - a).is_zero()
+
+
+def test_add_requires_equal_denominators():
+    # r_12(x/y) is over y - x, r(y/x) over x - y: a sum needs a declared clearing
+    with pytest.raises(ValueError):
+        rm.build_r(2, "x", "y") + rm.build_r(2, "y", "x")
+
+
+def test_over_declared_clearing():
+    r = rm.build_r(2)
+    moved = r.over((X - Y) * (X + Y))
+    assert moved.den == (X - Y) * (X + Y)
+    assert moved.entry((1, 2), (2, 1)) == r.entry((1, 2), (2, 1))
+    with pytest.raises(ExactDivisionError):
+        r.over(X + Y)
 
 
 def test_u_commutes_with_r():
@@ -136,6 +151,24 @@ def test_rbar_fold_equals_closed():
 def test_ns_cybe():
     for dim in (2, 3):
         assert rm.check_ns_cybe(dim).ok()
+
+
+def test_ns_cybe_residual_over_declared_clearing():
+    resid = rm.ns_cybe_residual(*rm.ns_cybe_operators(3))
+    d12 = rm.rbar_clearing(3, "x1", "x2")
+    d13 = rm.rbar_clearing(3, "x1", "x3")
+    d23 = rm.rbar_clearing(3, "x2", "x3")
+    assert resid.den == d12 * d13 * d23
+
+
+def test_ns_cybe_negative_control():
+    # one changed entry of rbar_13 breaks the equation at a fixed entry
+    r13 = rm.rbar_closed(2, "x1", "x3")
+    r13.put((1, 2), (2, 1), SpectralLaurent.monomial(3, {"x1": 1}))
+    _, r23, r21, r12 = rm.ns_cybe_operators(2)
+    loc = rm.ns_cybe_residual(r13.embed_legs((1, 3), 3), r23, r21, r12).first_nonzero()
+    assert loc is not None
+    assert (loc[0], loc[1]) == ((1, 1, 1), (2, 2, 1))
 
 
 def test_ns_cybe_reduces_to_cybe_for_plain_r():
