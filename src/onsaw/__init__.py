@@ -8,7 +8,6 @@ from .exactnum import (
     Rational,
     RationalFn,
     SpectralLaurent,
-    laurent_derivative,
     laurent_exact_div,
     poly_arith,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "RationalFn",
     "Report",
     "SpectralLaurent",
-    "laurent_derivative",
     "laurent_exact_div",
     "poly_arith",
 ]

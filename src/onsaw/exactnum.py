@@ -130,11 +130,15 @@ class ParamPoly:
         vars_ = _join_vars(self.vars, other.vars)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m)
+            if s is None:
+                terms[m] = c
+                continue
+            s += c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                del terms[m]
         return ParamPoly(vars_, terms)
 
     __radd__ = __add__
@@ -151,9 +155,26 @@ class ParamPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, q, vars_: frozenset) -> "ParamPoly":
+        """self * q for a rational scalar q, declared over vars_."""
+        if not q:
+            return ParamPoly(vars_, {})
+        if q == 1:
+            return ParamPoly(vars_, dict(self.terms))
+        if q == -1:
+            return ParamPoly(vars_, {m: -c for m, c in self.terms.items()})
+        return ParamPoly(vars_, {m: c * q for m, c in self.terms.items()})
+
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # constant operands scale the terms directly; the alphabet joins as
+        # it would for the general product
+        if isinstance(other, ParamPoly):
+            ot = other.terms
+            if len(ot) == 1 and () in ot:
+                return self._scaled(ot[()], _join_vars(self.vars, other.vars))
+        elif isinstance(other, (int, Fraction)):
+            return self._scaled(other, self.vars)
+        else:
             return NotImplemented
         vars_ = _join_vars(self.vars, other.vars)
         terms: dict = {}
@@ -698,11 +719,6 @@ class RationalFn:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def laurent_derivative(f: RationalFn, var: str) -> RationalFn:
-    """Module-level alias for the quotient-rule derivative."""
-    return RationalFn.of(f).derivative(var)
 
 
 def poly_arith(a, b, op: str):

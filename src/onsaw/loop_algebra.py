@@ -14,7 +14,10 @@ than merely checked.  The bracket implements
   [e_ij^(m), e_kl^(n)] = d_jk e_il^(m+n) - d_il e_kj^(m+n)
                          + m c d_{m+n,0} (d_il d_jk - d_ij d_kl / N)
 
-bilinearly, with [c, -] = 0.
+bilinearly, with [c, -] = 0.  The levels only place the result at m+n and
+scale the central term, so ``bracket`` reads a level-free table of
+structure constants per N, keyed by the two basis symbols without their
+levels and filled once per pair from this defining formula.
 """
 
 from __future__ import annotations
@@ -71,14 +74,26 @@ def central(dim: int, coeff=1) -> LoopElement:
     return el
 
 
+# (N, i) -> ((l, weight of h_l), ...) in the Cartan expansion of e_ii
+_CARTAN_WEIGHTS: dict = {}
+
+
+def _cartan_weights(dim: int, i: int) -> tuple:
+    ws = _CARTAN_WEIGHTS.get((dim, i))
+    if ws is None:
+        ws = _CARTAN_WEIGHTS[(dim, i)] = tuple(
+            (l, Fraction(-l, dim) if l < i else Fraction(dim - l, dim))
+            for l in range(1, dim)
+        )
+    return ws
+
+
 def _add_e(out: LoopElement, i: int, j: int, n: int, coeff) -> None:
     """Accumulate coeff * e_ij^(n), expanding diagonals into Cartans."""
     if i != j:
         out.add_term(off(i, j, n), coeff)
         return
-    dim = out.dim
-    for l in range(1, dim):
-        w = Fraction(-l, dim) if l < i else Fraction(dim - l, dim)
+    for l, w in _cartan_weights(out.dim, i):
         out.add_term(cartan(l, n), coeff * w)
 
 
@@ -117,21 +132,58 @@ def _as_e_terms(dim: int, sym):
     return ((i, i, n, Fraction(1)), (i + 1, i + 1, n, Fraction(-1)))
 
 
+# (N, shape_a, shape_b) -> (((symbol template, rational), ...), central
+# weight), a shape being a basis symbol without its level; at most
+# (N^2-1)^2 entries per N, whatever the levels
+_STRUCTURE: dict = {}
+
+
+def _rational(q: Fraction):
+    """q itself, or the int it equals: products by an int are cheaper."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _structure(dim: int, shape_a: tuple, shape_b: tuple) -> tuple:
+    """The level-free bracket of two basis shapes, filled from _bracket_ee.
+
+    [a^(m), b^(n)] = sum_t f_t * t^(m+n) + m w c d_{m+n,0}: the levels only
+    place the result and scale the central term, so the reference levels
+    (1, -1) give every f_t and w.
+    """
+    ref = zero(dim)
+    for i, j, _, fa in _as_e_terms(dim, shape_a + (1,)):
+        for k, l, _, fb in _as_e_terms(dim, shape_b + (-1,)):
+            _bracket_ee(ref, i, j, 1, k, l, -1, fa * fb)
+    w = _rational(ref.coeffs.pop(CENTRAL, ParamPoly.zero()).const_value())
+    terms = tuple((sym[:-1], _rational(c.const_value())) for sym, c in ref.coeffs.items())
+    entry = _STRUCTURE[(dim, shape_a, shape_b)] = (terms, w)
+    return entry
+
+
 def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     if a.dim != b.dim:
         raise ValueError(f"rank mismatch: N={a.dim} vs N={b.dim}")
-    out = zero(a.dim)
+    dim = a.dim
+    out = zero(dim)
+    add = out.add_term
     for sa, ca in a.coeffs.items():
         if sa == CENTRAL:
             continue
-        ta = _as_e_terms(a.dim, sa)
+        shape_a, m = sa[:-1], sa[-1]
         for sb, cb in b.coeffs.items():
             if sb == CENTRAL:
                 continue
+            key = (dim, shape_a, sb[:-1])
+            terms, w = _STRUCTURE.get(key) or _structure(*key)
+            level = m + sb[-1]
+            central = w if m and not level else 0
+            if not (terms or central):
+                continue
             c = ca * cb
-            for i, j, m, fa in ta:
-                for k, l, n, fb in _as_e_terms(a.dim, sb):
-                    _bracket_ee(out, i, j, m, k, l, n, c * (fa * fb))
+            for tmpl, f in terms:
+                add(tmpl + (level,), c * f)
+            if central:
+                add(CENTRAL, c * (m * central))
     return out
 
 

@@ -6,8 +6,6 @@ as a sparse map from canonical basis symbols to ParamPoly coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactnum import ParamPoly
 
 
@@ -114,6 +112,3 @@ class SymbolCombination:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-Scalar = (int, Fraction, ParamPoly)

@@ -12,7 +12,6 @@ from onsaw.exactnum import (
     ParamPoly,
     RationalFn,
     SpectralLaurent,
-    laurent_derivative,
     laurent_exact_div,
     parse_param_poly,
     poly_arith,
@@ -79,6 +78,26 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=80)
+@given(
+    param_polys(("alpha", "eps")),
+    st.one_of(st.integers(-5, 5), fractions(), st.sampled_from([1, -1, Fraction(-1)])),
+    st.sampled_from([frozenset(), frozenset({"alpha"}), frozenset({"kappa"})]),
+)
+def test_param_poly_scalar_fast_path(p, q, vars_):
+    # scaling by a constant agrees with the general product of polynomials
+    x = ParamPoly.variable("x")
+    generic = p * (q + x) - p * x
+    assert p * q == generic
+    assert q * p == generic
+    assert p * ParamPoly.const(q, vars_) == generic
+    assert (p * q).vars == p.vars
+    assert (q * p).vars == p.vars
+    assert (p * ParamPoly.const(q, vars_)).vars == p.vars | vars_
+    if q == 0:
+        assert (p * q).is_zero() and (p * ParamPoly.const(q, vars_)).is_zero()
+
+
 def test_polynomial_products():
     # difference of squares and the absorbing element
     assert (X - Y) * (X + Y) == X * X - Y * Y
@@ -104,7 +123,7 @@ def test_poly_arith_contract():
 def test_derivatives():
     assert RationalFn.of(X).derivative("x") == RationalFn.of(ONE)
     f = RationalFn(ONE + X, ONE - X)
-    assert laurent_derivative(f, "x") == RationalFn(
+    assert RationalFn.of(f).derivative("x") == RationalFn(
         SpectralLaurent.const(2), (ONE - X) * (ONE - X)
     )
     c0 = RationalFn.of(SpectralLaurent.const(ALPHA))
