@@ -1,11 +1,12 @@
 """Higher-rank classical Askey-Wilson quotients.
 
-Finitely presented Lie algebras over ParamPoly(alpha) given by explicit
-bracket tables for ranks 3 and 4, their truncated generating matrices
-B(x) with global denominator alpha + (-1)^(N+1) x - 1/x, an exact (no
-truncation) reflection-relation certificate, nested-commutator
-presentation checks, and a solver that extracts the bracket table for
-general N by imposing the reflection relation on the word ansatz.
+Finitely presented Lie algebras over ParamPoly(alpha): explicit bracket
+tables for ranks 3 and 4, and tables extracted for general N by imposing
+the reflection relation on a word ansatz.  Every table, explicit or
+extracted, gets its generating matrix B(x) (numerators over the global
+denominator alpha + (-1)^(N+1) x - 1/x) from the same ansatz read through
+its basis words, and the same exact (no truncation) reflection-relation
+certificate; nested-commutator presentation checks cover ranks 3 and 4.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .exactnum import ParamPoly, SpectralLaurent, parse_param_poly
 from .linsolve import SparseEliminator, matrix_rank, solve_polynomial
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import BiSeries, GeneratorMatrix
+from .series import BiSeries, GeneratorMatrix, laurent_xy_terms
 from .symcomb import SymbolCombination
 
 ALPHA = ParamPoly.variable("alpha")
@@ -359,21 +360,6 @@ def aw4_table() -> StructTable:
 # -- generating matrices ---------------------------------------------------------
 
 
-@dataclass
-class AWMatrix:
-    """Numerators over the global denominator alpha + (-1)^(N+1) x - 1/x.
-
-    Entries carry the overall factor 2; exponent range is -1..1.
-    """
-
-    rank: int
-    den: SpectralLaurent
-    entries: dict  # (i, j) 1-based -> {x exponent -> element}
-
-    def entry(self, i: int, j: int) -> dict:
-        return self.entries.get((i, j), {})
-
-
 def aw_denominator(rank: int, v: str = "x") -> SpectralLaurent:
     sgn = parity_sign(rank + 1)
     return (SpectralLaurent.const(ALPHA)
@@ -381,61 +367,13 @@ def aw_denominator(rank: int, v: str = "x") -> SpectralLaurent:
             - SpectralLaurent.variable(v, -1))
 
 
-def build_B_aw(rank: int) -> AWMatrix:
-    """Literal generating matrices for ranks 3 and 4."""
-    if rank == 3:
-        t = aw3_table()
-        layout = {
-            (1, 1): {0: [("g1", 2, 3), ("g2", 1, 3)]},
-            (1, 2): {0: [("f1", 1, 1)], -1: [("e1", -1, 1)]},
-            (1, 3): {0: [("e3", 1, 1)], -1: [("f3", 1, 1)]},
-            (2, 1): {1: [("e1", -1, 1)], 0: [("f1", -1, 1)]},
-            (2, 2): {0: [("g1", -1, 3), ("g2", 1, 3)]},
-            (2, 3): {0: [("f2", 1, 1)], -1: [("e2", -1, 1)]},
-            (3, 1): {0: [("e3", 1, 1)], 1: [("f3", -1, 1)]},
-            (3, 2): {1: [("e2", -1, 1)], 0: [("f2", -1, 1)]},
-            (3, 3): {0: [("g1", -1, 3), ("g2", -2, 3)]},
-        }
-    elif rank == 4:
-        t = aw4_table()
-        layout = {
-            (1, 1): {0: [("h1", 3, 4), ("h2", 1, 2), ("h3", 1, 4)]},
-            (1, 2): {0: [("g1", 1, 1)], -1: [("e1", 1, 1)]},
-            (1, 3): {0: [("f1", 1, 1)], -1: [("f3", 1, 1)]},
-            (1, 4): {0: [("e4", -1, 1)], -1: [("g4", -1, 1)]},
-            (2, 1): {0: [("g1", -1, 1)], 1: [("e1", -1, 1)]},
-            (2, 2): {0: [("h1", -1, 4), ("h2", 1, 2), ("h3", 1, 4)]},
-            (2, 3): {0: [("g2", 1, 1)], -1: [("e2", 1, 1)]},
-            (2, 4): {0: [("f2", 1, 1)], -1: [("f4", 1, 1)]},
-            (3, 1): {0: [("f1", 1, 1)], 1: [("f3", 1, 1)]},
-            (3, 2): {0: [("g2", -1, 1)], 1: [("e2", -1, 1)]},
-            (3, 3): {0: [("h1", -1, 4), ("h2", -1, 2), ("h3", 1, 4)]},
-            (3, 4): {0: [("g3", 1, 1)], -1: [("e3", 1, 1)]},
-            (4, 1): {0: [("e4", 1, 1)], 1: [("g4", 1, 1)]},
-            (4, 2): {0: [("f2", 1, 1)], 1: [("f4", 1, 1)]},
-            (4, 3): {0: [("g3", -1, 1)], 1: [("e3", -1, 1)]},
-            (4, 4): {0: [("h1", -1, 4), ("h2", -1, 2), ("h3", -3, 4)]},
-        }
-    else:
-        raise ValueError("explicit generating matrices exist for ranks 3 and 4 only")
-    entries = {}
-    for (i, j), by_exp in layout.items():
-        entry = {}
-        for e, items in by_exp.items():
-            el = t.zero()
-            for name, num, den in items:
-                el.add_term(t.index[name], Fraction(2 * num, den))
-            entry[e] = el
-        entries[(i, j)] = entry
-    return AWMatrix(rank, aw_denominator(rank), entries)
-
-
-def _aw_num_matrix(b: AWMatrix, zero_elem) -> GeneratorMatrix:
-    out = GeneratorMatrix(b.rank, 1)
+def _num_matrix(rank: int, entries: dict, zero) -> GeneratorMatrix:
+    """Numerators of B(x) over aw_denominator from {(i, j) -> {exp -> element}}."""
+    out = GeneratorMatrix(rank, 1)
     for e in (-1, 0, 1):
-        mat = [[zero_elem() for _ in range(b.rank)] for _ in range(b.rank)]
+        mat = [[zero() for _ in range(rank)] for _ in range(rank)]
         seen = False
-        for (i, j), entry in b.entries.items():
+        for (i, j), entry in entries.items():
             if e in entry and not entry[e].is_zero():
                 mat[i - 1][j - 1] = entry[e]
                 seen = True
@@ -444,30 +382,63 @@ def _aw_num_matrix(b: AWMatrix, zero_elem) -> GeneratorMatrix:
     return out
 
 
-def _x_times_den(rank: int, v: str) -> SpectralLaurent:
-    return SpectralLaurent.variable(v) * aw_denominator(rank, v).rename({"x": v})
+def build_B(t: StructTable) -> GeneratorMatrix:
+    """The word ansatz of build_B_general read through the table's words.
+
+    Basis element k is c_k times the word w_k (``t.words[k] == (c_k, w_k)``),
+    so w_k becomes (1/c_k) unit(k); no bracket is evaluated.  A word of the
+    ansatz that names no basis element is an error.
+    """
+    unit_of = {w[1]: t.unit(k).scale(Fraction(1) / w[0])
+               for k, w in enumerate(t.words) if w is not None}
+    entries = {}
+    for ij, entry in build_B_general(t.rank).items():
+        entries[ij] = by_exp = {}
+        for e, wel in entry.items():
+            el = t.zero()
+            for word, c in wel.coeffs.items():
+                if word not in unit_of:
+                    raise ValueError(f"ansatz word {word} is not a basis word of the table")
+                el = el + unit_of[word].scale(c)
+            by_exp[e] = el
+    return _num_matrix(t.rank, entries, t.zero)
 
 
-def reflection_aw_mismatch(t: StructTable, b: AWMatrix):
-    """Exact reflection residual for a finite generating matrix, or None."""
-    rank = b.rank
+def build_B_aw(rank: int) -> GeneratorMatrix:
+    """B(x) of the explicit rank-3 or rank-4 table."""
+    if rank not in (3, 4):
+        raise ValueError("explicit tables exist for ranks 3 and 4 only")
+    return build_B(aw3_table() if rank == 3 else aw4_table())
+
+
+def _reflection_sides(num: GeneratorMatrix):
+    """The reflection relation for B(x) = num(x) / aw_denominator, cleared.
+
+    Returns (m, rhs): [num_1(x), num_2(y)] * m == rhs is the relation, with
+    m = clearing * x * y and rhs linear in num.
+    """
+    rank = num.dim
     clearing, r12c, r21c = cleared_rbar_pair(rank)
     x = SpectralLaurent.variable("x")
     y = SpectralLaurent.variable("y")
-    num = _aw_num_matrix(b, t.zero)
-    lhs = BiSeries.bracket_cross(num, num, t.bracket)
-    lhs = lhs.convolve(clearing * x * y, "x", "y")
     b1 = BiSeries.from_leg(num, 1, 0).convolve(x, "x", "y")
     b2 = BiSeries.from_leg(num, 2, 1).convolve(y, "x", "y")
-    xdx = _x_times_den(rank, "x")
-    ydy = _x_times_den(rank, "y")
-    term1 = (-b1.commutator_scalar(r21c, "x", "y")).convolve(ydy, "x", "y")
-    term2 = b2.commutator_scalar(r12c, "x", "y").convolve(xdx, "x", "y")
-    return lhs.first_mismatch(term1 + term2, 10 ** 9)
+    xden = x * aw_denominator(rank, "x")
+    yden = y * aw_denominator(rank, "y")
+    rhs = (-b1.commutator_scalar(r21c, "x", "y")).convolve(yden, "x", "y") \
+        + b2.commutator_scalar(r12c, "x", "y").convolve(xden, "x", "y")
+    return clearing * x * y, rhs
 
 
-def check_reflection_aw(t: StructTable, b: AWMatrix) -> Report:
-    report = Report("verify aw-reflection", {"n": b.rank})
+def reflection_aw_mismatch(t: StructTable, b: GeneratorMatrix):
+    """Exact reflection residual for a finite generating matrix, or None."""
+    m, rhs = _reflection_sides(b)
+    lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(m, "x", "y")
+    return lhs.first_mismatch(rhs, 10 ** 9)
+
+
+def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
+    report = Report("verify aw-reflection", {"n": b.dim})
     with timer(report):
         mism = reflection_aw_mismatch(t, b)
         detail = None
@@ -476,12 +447,10 @@ def check_reflection_aw(t: StructTable, b: AWMatrix) -> Report:
             detail = f"monomial x^{a} y^{bb} entry {rd}->{cd} residual {diff}"
         report.add("reflection-exact", mism is None, detail)
         bad = None
-        for e in (-1, 0, 1):
+        for e in b.exponents():
             tr = t.zero()
-            for i in range(1, b.rank + 1):
-                entry = b.entry(i, i)
-                if e in entry:
-                    tr = tr + entry[e]
+            for i in range(1, b.dim + 1):
+                tr = tr + b.entry(e, i, i)
             if not tr.is_zero():
                 bad = f"x^{e}: trace {tr}"
                 break
@@ -511,15 +480,10 @@ def check_pro1(t: StructTable) -> Report:
         bad = next(((n, r) for n, r in checks if not r.is_zero()), None)
         report.add("generator-expressions", bad is None,
                    bad and f"{bad[0]} residual {bad[1]}")
-        bad = None
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                r = br(e[i], br(e[i], e[j])) - e[j]
-                if not r.is_zero():
-                    bad = f"[e{i+1},[e{i+1},e{j+1}]] - e{j+1} = {r}"
-                    break
+        doubles = ((i, j, br(e[i], br(e[i], e[j])) - e[j])
+                   for i, j in itertools.permutations(range(3), 2))
+        bad = next((f"[e{i+1},[e{i+1},e{j+1}]] - e{j+1} = {r}"
+                    for i, j, r in doubles if not r.is_zero()), None)
         report.add("double-bracket-relations", bad is None, bad)
         bad = None
         for i, j, k in itertools.permutations((1, 2, 3)):
@@ -687,34 +651,11 @@ def extract_structure_constants(rank: int, convention: str = "literal"):
         words = ansatz_words(rank, convention)
         widx = {w: k for k, w in enumerate(words)}
         entries = build_B_general(rank, convention)
-        clearing, r12c, r21c = cleared_rbar_pair(rank)
-        x = SpectralLaurent.variable("x")
-        y = SpectralLaurent.variable("y")
-
-        num = GeneratorMatrix(rank, 1)
-        for e in (-1, 0, 1):
-            mat = [[WordElement(rank, {}) for _ in range(rank)] for _ in range(rank)]
-            seen = False
-            for (i, j), entry in entries.items():
-                if e in entry and not entry[e].is_zero():
-                    mat[i - 1][j - 1] = entry[e]
-                    seen = True
-            if seen:
-                num.coeffs[e] = mat
-
-        # right-hand side: linear in the words
-        b1 = BiSeries.from_leg(num, 1, 0).convolve(x, "x", "y")
-        b2 = BiSeries.from_leg(num, 2, 1).convolve(y, "x", "y")
-        xdx = _x_times_den(rank, "x")
-        ydy = _x_times_den(rank, "y")
-        rhs = (-b1.commutator_scalar(r21c, "x", "y")).convolve(ydy, "x", "y") \
-            + b2.commutator_scalar(r12c, "x", "y").convolve(xdx, "x", "y")
-
-        # left-hand side: bilinear in unknown brackets of word pairs
-        from .series import laurent_xy_terms
-
-        scal = laurent_xy_terms(clearing * x * y, "x", "y")
-        npairs = 0
+        num = _num_matrix(rank, entries, lambda: WordElement(rank, {}))
+        # right-hand side: linear in the words; left-hand side: bilinear in
+        # the unknown brackets of word pairs
+        m, rhs = _reflection_sides(num)
+        scal = laurent_xy_terms(m, "x", "y")
         elim = SparseEliminator()
         rows = 0
         for i in range(1, rank + 1):
@@ -896,6 +837,6 @@ def check_aw(rank: int) -> Report:
     with timer(report):
         t = aw3_table() if rank == 3 else aw4_table()
         report.extend(check_jacobi(t))
-        report.extend(check_reflection_aw(t, build_B_aw(rank)))
+        report.extend(check_reflection_aw(t, build_B(t)))
         report.extend(check_pro1(t) if rank == 3 else check_pro2(t))
     return report

@@ -126,8 +126,29 @@ def extract_charges(dim: int, max_order: int) -> list:
     return [Charge(n, series.get(n, on.zero(dim))) for n in range(max_order + 1)]
 
 
+def generic_charge(dim: int, n: int) -> on.OnsagerElement:
+    """The generic (n > 1) charge formula, defined for every n >= 1."""
+    sigma = parity_sign(dim)
+    p = ChargeParams(dim)
+    out = on.zero(dim)
+
+    def c(i, j, lev):
+        return on.canonicalize_B(dim, i, j, lev)
+
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            ka, ks = p.ka(i, j), p.ks(i, j)
+            out = out + (c(i, j, n) + c(j, i, n).scale(parity_sign(i + j + 1))).scale(ka)
+            out = out + (c(j, i, n - 1).scale(parity_sign(i + j + dim + 1)) + c(i, j, n + 1)).scale(ks)
+    for i in range(1, dim + 1):
+        out = out + (c(i, i, n + 1).scale(-sigma) + c(i, i, n - 1)).scale(p.mu(i))
+    return out
+
+
 def displayed_charge(dim: int, n: int) -> on.OnsagerElement:
     """The closed-form charge at order n (n = 0 and 1 are special)."""
+    if n > 1:
+        return generic_charge(dim, n)
     sigma = parity_sign(dim)
     p = ChargeParams(dim)
     out = on.zero(dim)
@@ -143,22 +164,13 @@ def displayed_charge(dim: int, n: int) -> on.OnsagerElement:
         for i in range(1, dim + 1):
             out = out + c(i, i, 1).scale(p.mu(i) * (-sigma))
         return out
-    if n == 1:
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                ka, ks = p.ka(i, j), p.ks(i, j)
-                out = out + (c(i, j, 1) + c(j, i, 1).scale(parity_sign(i + j + 1))).scale(ka)
-                out = out + (c(j, i, 0).scale(parity_sign(i + j + dim + 1)) + c(i, j, 2)).scale(ks)
-        for i in range(1, dim + 1):
-            out = out + c(i, i, 2).scale(p.mu(i) * (-sigma))
-        return out
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
             ka, ks = p.ka(i, j), p.ks(i, j)
-            out = out + (c(i, j, n) + c(j, i, n).scale(parity_sign(i + j + 1))).scale(ka)
-            out = out + (c(j, i, n - 1).scale(parity_sign(i + j + dim + 1)) + c(i, j, n + 1)).scale(ks)
+            out = out + (c(i, j, 1) + c(j, i, 1).scale(parity_sign(i + j + 1))).scale(ka)
+            out = out + (c(j, i, 0).scale(parity_sign(i + j + dim + 1)) + c(i, j, 2)).scale(ks)
     for i in range(1, dim + 1):
-        out = out + (c(i, i, n + 1).scale(-sigma) + c(i, i, n - 1)).scale(p.mu(i))
+        out = out + c(i, i, 2).scale(p.mu(i) * (-sigma))
     return out
 
 
@@ -194,29 +206,11 @@ def check_charge_formulas(dim: int, max_order: int) -> Report:
                 report.add(f"{name} (proportionality {q})", True)
         # the generic formula evaluated at the n=1 boundary matches I_1
         if max_order >= 1:
-            gen1 = displayed_charge_generic_at(dim, 1)
+            gen1 = generic_charge(dim, 1)
             agree = (gen1 - displayed_charge(dim, 1)).is_zero()
             report.add("generic formula boundary n=1", agree,
                        None if agree else "generic(1) differs from I_1")
     return report
-
-
-def displayed_charge_generic_at(dim: int, n: int) -> on.OnsagerElement:
-    """The generic (n > 1) formula instantiated at arbitrary n >= 1."""
-    sigma = parity_sign(dim)
-    p = ChargeParams(dim)
-    out = on.zero(dim)
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            ka, ks = p.ka(i, j), p.ks(i, j)
-            out = out + (on.canonicalize_B(dim, i, j, n)
-                         + on.canonicalize_B(dim, j, i, n).scale(parity_sign(i + j + 1))).scale(ka)
-            out = out + (on.canonicalize_B(dim, j, i, n - 1).scale(parity_sign(i + j + dim + 1))
-                         + on.canonicalize_B(dim, i, j, n + 1)).scale(ks)
-    for i in range(1, dim + 1):
-        out = out + (on.canonicalize_B(dim, i, i, n + 1).scale(-sigma)
-                     + on.canonicalize_B(dim, i, i, n - 1)).scale(p.mu(i))
-    return out
 
 
 def b_commutativity_mismatch(dim: int, cutoff: int):
@@ -261,13 +255,9 @@ def check_charge_commutativity(dim: int, max_order: int) -> Report:
             if bad:
                 break
         report.add("pairwise-commutativity", bad is None, bad)
-        bad = None
-        for ch in charges:
-            for sym, coeff in ch.value.coeffs.items():
-                for mono, _ in coeff.terms.items():
-                    if sum(e for _, e in mono) != 1:
-                        bad = f"I_{ch.order} coefficient not linear in parameters"
-                        break
+        bad = next((f"I_{ch.order} coefficient not linear in parameters"
+                    for ch in charges for coeff in ch.value.coeffs.values()
+                    for mono in coeff.terms if sum(e for _, e in mono) != 1), None)
         report.add("parameter-linearity", bad is None, bad)
     return report
 

@@ -1,9 +1,9 @@
 """Command-line front end: verification suites and extraction.
 
 Every command prints a deterministic report (text or JSON, schema 1) and
-exits 0 iff all checks pass.  --parallel fans independent checks out to a
-thread pool; results are reassembled in task order, so reports are
-byte-identical either way (apart from elapsed_ms).
+exits 0 iff all checks pass.  Reports are byte-identical across runs
+apart from elapsed_ms.  Extracted Askey-Wilson tables are re-certified
+against the reflection relation they were extracted from.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import askey_wilson as aw
 from . import charges as ch
@@ -20,14 +19,6 @@ from . import frt
 from . import onsager as on
 from . import rmatrix as rm
 from .report import Report
-
-
-def run_tasks(tasks, parallel: bool) -> list:
-    """Run nullary report tasks, preserving order."""
-    if parallel and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            return list(pool.map(lambda f: f(), tasks))
-    return [f() for f in tasks]
 
 
 def _merge(command: str, params: dict, reports: list) -> Report:
@@ -49,9 +40,6 @@ def _positive(name):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--parallel", choices=("on", "off"), default="on")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property subsets (exhaustive suites ignore it)")
 
     p = argparse.ArgumentParser(
         prog="onsaw",
@@ -118,7 +106,6 @@ def _epsilon_arg(text: str):
 
 def dispatch(args) -> tuple:
     """Returns (Report, extra_payload or None)."""
-    parallel = args.parallel == "on"
     if args.command == "verify":
         suite = args.suite
         if suite == "cybe":
@@ -131,11 +118,10 @@ def dispatch(args) -> tuple:
             eps = _epsilon_arg(args.epsilon)
             if args.which == "theta2" and args.n % 2:
                 raise SystemExit("theta2 requires even N")
-            tasks = [
-                lambda: frt.check_automorphism(args.which, args.n, args.levels, eps),
-                lambda: frt.check_theta_matrix_form(args.which, args.n, args.cutoff, eps),
+            reports = [
+                frt.check_automorphism(args.which, args.n, args.levels, eps),
+                frt.check_theta_matrix_form(args.which, args.n, args.cutoff, eps),
             ]
-            reports = run_tasks(tasks, parallel)
             return _merge("verify automorphism", {
                 "which": args.which, "n": args.n, "levels": args.levels,
                 "epsilon": args.epsilon, "cutoff": args.cutoff,
@@ -143,20 +129,18 @@ def dispatch(args) -> tuple:
         if suite == "frt":
             return frt.check_frt(args.n, args.cutoff), None
         if suite == "onsager":
-            tasks = [
-                lambda: on.check_presentation_agreement(args.n, args.levels),
-                lambda: on.check_UI_relations(args.n, min(args.levels, 2)),
+            reports = [
+                on.check_presentation_agreement(args.n, args.levels),
+                on.check_UI_relations(args.n, min(args.levels, 2)),
             ]
             if args.n >= 3:
-                tasks.append(lambda: on.check_OAn_presentation(args.n))
-            reports = run_tasks(tasks, parallel)
+                reports.append(on.check_OAn_presentation(args.n))
             return _merge("verify onsager", {"n": args.n, "levels": args.levels}, reports), None
         if suite == "reflection":
-            tasks = [
-                lambda: on.check_reflection(args.n, args.cutoff),
-                lambda: on.check_Bxg(args.n, args.cutoff),
+            reports = [
+                on.check_reflection(args.n, args.cutoff),
+                on.check_Bxg(args.n, args.cutoff),
             ]
-            reports = run_tasks(tasks, parallel)
             return _merge("verify reflection", {"n": args.n, "cutoff": args.cutoff}, reports), None
         if suite == "currents":
             return on.check_currents(args.n, args.cutoff), None
@@ -170,6 +154,7 @@ def dispatch(args) -> tuple:
         payload = None
         if table is not None:
             payload = (args.out, aw.export_table(table))
+            report.extend(aw.check_reflection_aw(table, aw.build_B(table)))
             if args.n in (3, 4):
                 reference = aw.aw3_table() if args.n == 3 else aw.aw4_table()
                 report.extend(aw.match_tables(table, reference))
@@ -192,7 +177,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    report.params.setdefault("seed", args.seed)
     if payload is not None:
         path, data = payload
         with open(path, "w") as fh:

@@ -52,12 +52,12 @@ class SymbolCombination:
         return self + (-other)
 
     def scale(self, factor):
-        f = as_coeff(factor)
-        if f.is_zero():
+        """Multiply by an int, a Fraction or a ParamPoly."""
+        if factor.is_zero() if isinstance(factor, ParamPoly) else not factor:
             return type(self)(self.dim, {})
         out = {}
         for sym, c in self.coeffs.items():
-            p = c * f
+            p = c * factor
             if not p.is_zero():
                 out[sym] = p
         return type(self)(self.dim, out)

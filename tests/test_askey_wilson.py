@@ -62,15 +62,13 @@ def test_B_matrix_entries():
     b3 = aw.build_B_aw(3)
     t3 = aw.aw3_table()
     want = t3.unit("g1").scale(Fraction(4, 3)) + t3.unit("g2").scale(Fraction(2, 3))
-    assert ((b3.entry(1, 1)[0]) - want).is_zero()
-    entry21 = b3.entry(2, 1)
-    assert (entry21[1] - t3.unit("e1").scale(-2)).is_zero()
-    assert (entry21[0] - t3.unit("f1").scale(-2)).is_zero()
+    assert (b3.entry(0, 1, 1) - want).is_zero()
+    assert (b3.entry(1, 2, 1) - t3.unit("e1").scale(-2)).is_zero()
+    assert (b3.entry(0, 2, 1) - t3.unit("f1").scale(-2)).is_zero()
     b4 = aw.build_B_aw(4)
     t4 = aw.aw4_table()
-    entry14 = b4.entry(1, 4)
-    assert (entry14[0] - t4.unit("e4").scale(-2)).is_zero()
-    assert (entry14[-1] - t4.unit("g4").scale(-2)).is_zero()
+    assert (b4.entry(0, 1, 4) - t4.unit("e4").scale(-2)).is_zero()
+    assert (b4.entry(-1, 1, 4) - t4.unit("g4").scale(-2)).is_zero()
 
 
 def test_reflection_exact():
@@ -92,6 +90,24 @@ def test_reflection_negative_control():
 def test_pro1():
     rep = aw.check_pro1(aw.aw3_table())
     assert rep.ok(), [c.detail for c in rep.failures()]
+
+
+def test_pro1_double_bracket_locator_is_first(monkeypatch):
+    # break [e1,[e1,e2]] = e2 and [e3,[e3,e2]] = e2; the detail names the first
+    t = aw.aw3_table()
+    real = t.bracket
+    e1, e3 = t.unit("e1"), t.unit("e3")
+
+    def patched(u, v):
+        out = real(u, v)
+        if u == e1 or u == e3:
+            out = out + t.unit("g1")
+        return out
+
+    monkeypatch.setattr(t, "bracket", patched)
+    rep = aw.check_pro1(t)
+    fail = [c for c in rep.failures() if c.name == "double-bracket-relations"]
+    assert fail and fail[0].detail.startswith("[e1,[e1,e2]] - e2 = ")
 
 
 def test_pro1_word_evaluations():
@@ -119,31 +135,68 @@ def test_pro2_sample_evaluation():
     assert (lhs - want).is_zero()
 
 
-def test_general_ansatz_specializes_to_explicit_matrices():
-    # rank 3: the word entries evaluate to the explicit entries
+# The paper's generating matrices for ranks 3 and 4: (i, j) -> {x exponent ->
+# [(basis name, numerator, denominator)]}, each entry carrying the factor 2.
+PAPER_B = {
+    3: {
+        (1, 1): {0: [("g1", 2, 3), ("g2", 1, 3)]},
+        (1, 2): {0: [("f1", 1, 1)], -1: [("e1", -1, 1)]},
+        (1, 3): {0: [("e3", 1, 1)], -1: [("f3", 1, 1)]},
+        (2, 1): {1: [("e1", -1, 1)], 0: [("f1", -1, 1)]},
+        (2, 2): {0: [("g1", -1, 3), ("g2", 1, 3)]},
+        (2, 3): {0: [("f2", 1, 1)], -1: [("e2", -1, 1)]},
+        (3, 1): {0: [("e3", 1, 1)], 1: [("f3", -1, 1)]},
+        (3, 2): {1: [("e2", -1, 1)], 0: [("f2", -1, 1)]},
+        (3, 3): {0: [("g1", -1, 3), ("g2", -2, 3)]},
+    },
+    4: {
+        (1, 1): {0: [("h1", 3, 4), ("h2", 1, 2), ("h3", 1, 4)]},
+        (1, 2): {0: [("g1", 1, 1)], -1: [("e1", 1, 1)]},
+        (1, 3): {0: [("f1", 1, 1)], -1: [("f3", 1, 1)]},
+        (1, 4): {0: [("e4", -1, 1)], -1: [("g4", -1, 1)]},
+        (2, 1): {0: [("g1", -1, 1)], 1: [("e1", -1, 1)]},
+        (2, 2): {0: [("h1", -1, 4), ("h2", 1, 2), ("h3", 1, 4)]},
+        (2, 3): {0: [("g2", 1, 1)], -1: [("e2", 1, 1)]},
+        (2, 4): {0: [("f2", 1, 1)], -1: [("f4", 1, 1)]},
+        (3, 1): {0: [("f1", 1, 1)], 1: [("f3", 1, 1)]},
+        (3, 2): {0: [("g2", -1, 1)], 1: [("e2", -1, 1)]},
+        (3, 3): {0: [("h1", -1, 4), ("h2", -1, 2), ("h3", 1, 4)]},
+        (3, 4): {0: [("g3", 1, 1)], -1: [("e3", 1, 1)]},
+        (4, 1): {0: [("e4", 1, 1)], 1: [("g4", 1, 1)]},
+        (4, 2): {0: [("f2", 1, 1)], 1: [("f4", 1, 1)]},
+        (4, 3): {0: [("g3", -1, 1)], 1: [("e3", -1, 1)]},
+        (4, 4): {0: [("h1", -1, 4), ("h2", -1, 2), ("h3", -3, 4)]},
+    },
+}
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_B_aw_matches_paper_entries(rank):
+    t = aw.aw3_table() if rank == 3 else aw.aw4_table()
+    b = aw.build_B_aw(rank)
+    assert b.exponents() == [-1, 0, 1]
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            for e in (-1, 0, 1):
+                want = t.zero()
+                for name, num, den in PAPER_B[rank][(i, j)].get(e, []):
+                    want = want + t.unit(name).scale(Fraction(2 * num, den))
+                assert b.entry(e, i, j) == want, (i, j, e)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_table_words_evaluate_to_basis(rank):
+    # B(x) reads each word through t.words; the brackets must agree with it
+    t = aw.aw3_table() if rank == 3 else aw.aw4_table()
+    for k, (c, word) in enumerate(t.words):
+        assert t.eval_word(word).scale(c) == t.unit(k), t.basis[k]
+
+
+def test_build_B_rejects_missing_word():
     t = aw.aw3_table()
-    entries = aw.build_B_general(3)
-    b = aw.build_B_aw(3)
-    for (i, j), entry in entries.items():
-        for e, wel in entry.items():
-            got = t.zero()
-            for word, c in wel.coeffs.items():
-                got = got + t.eval_word(word).scale(c)
-            want = b.entry(i, j).get(e, t.zero())
-            assert (got - want).is_zero(), (i, j, e)
-
-
-def test_general_ansatz_rank4():
-    t = aw.aw4_table()
-    entries = aw.build_B_general(4)
-    b = aw.build_B_aw(4)
-    for (i, j), entry in entries.items():
-        for e, wel in entry.items():
-            got = t.zero()
-            for word, c in wel.coeffs.items():
-                got = got + t.eval_word(word).scale(c)
-            want = b.entry(i, j).get(e, t.zero())
-            assert (got - want).is_zero(), (i, j, e)
+    t.words[t.index["g2"]] = None
+    with pytest.raises(ValueError, match="not a basis word"):
+        aw.build_B(t)
 
 
 def test_ansatz_word_counts():

@@ -187,6 +187,17 @@ def test_charge_commutativity_negative_control():
     assert not resid.is_zero()
 
 
+def test_parameter_linearity_locator_is_first(monkeypatch):
+    # make I_1 and I_2 quadratic in the parameters; the detail names I_1
+    real = ch.extract_charges(2, 2)
+    mu1 = ParamPoly.variable("mu1")
+    planted = [real[0]] + [ch.Charge(c.order, c.value.scale(mu1)) for c in real[1:]]
+    monkeypatch.setattr(ch, "extract_charges", lambda dim, max_order: planted)
+    rep = ch.check_charge_commutativity(2, 2)
+    fail = [c for c in rep.failures() if c.name == "parameter-linearity"]
+    assert fail and fail[0].detail == "I_1 coefficient not linear in parameters"
+
+
 def test_charges_are_theta1_consistent():
     for dim in (2, 3):
         for c in ch.extract_charges(dim, 3):

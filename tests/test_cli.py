@@ -74,6 +74,30 @@ def test_extract_writes_table(tmp_path, capsys):
     assert aw.check_jacobi(back).ok()
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_extract_recertifies_reflection(shift, tmp_path, monkeypatch, capsys):
+    from onsaw import askey_wilson as aw
+    from onsaw.exactnum import parse_param_poly
+
+    code, out = run_cli(["extract", "aw", "--n", "3", "--out", str(tmp_path / "t3.json"),
+                         "--format", "json"], capsys)
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "reflection-exact" in names
+    # shifting one extracted coefficient by +-1 must fail with a locator
+    tbl, rep = aw.extract_structure_constants(3)
+    doc = aw.export_table(tbl)
+    name_c, coeff = doc["brackets"][0][2][0]
+    doc["brackets"][0][2][0] = [name_c, str(parse_param_poly(coeff) + shift)]
+    monkeypatch.setattr(aw, "extract_structure_constants",
+                        lambda n, convention: (aw.import_table(doc), rep))
+    code, out = run_cli(["extract", "aw", "--n", "3", "--out", str(tmp_path / "bad.json"),
+                         "--format", "json"], capsys)
+    assert code == 1
+    fail = [c for c in json.loads(out)["checks"] if c["name"] == "reflection-exact"]
+    assert fail[0]["status"] == "fail" and fail[0]["detail"].startswith("monomial x^")
+
+
 def test_charges_print(capsys):
     code, out = run_cli(["charges", "print", "--n", "2", "--max-order", "2"], capsys)
     assert code == 0
@@ -93,14 +117,11 @@ def _normalized_json(out: str) -> dict:
     ["verify", "aw", "--n", "3"],
 ])
 def test_reports_deterministic(argv, capsys):
-    full = argv + ["--format", "json", "--parallel", "on"]
+    full = argv + ["--format", "json"]
     _, out1 = run_cli(full, capsys)
     _, out2 = run_cli(full, capsys)
     assert _normalized_json(out1) == _normalized_json(out2)
     assert json.dumps(_normalized_json(out1)) == json.dumps(_normalized_json(out2))
-    # parallel off produces the same report
-    _, out3 = run_cli(argv + ["--format", "json", "--parallel", "off"], capsys)
-    assert _normalized_json(out1) == _normalized_json(out3)
 
 
 def test_failure_exit_code(monkeypatch, capsys):
