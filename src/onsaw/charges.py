@@ -9,6 +9,7 @@ with the proportionality constant reported.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,16 +217,12 @@ def check_charge_formulas(dim: int, max_order: int) -> Report:
 def b_commutativity_mismatch(dim: int, cutoff: int):
     """[b(x), b(y)] coefficient residuals in the valid window."""
     series = build_b(dim, cutoff)
-    valid = cutoff - 1
-    for a in sorted(series):
-        if a > valid:
-            continue
-        for b in sorted(series):
-            if b > valid:
-                continue
-            resid = on.bracket_abstract(series[a], series[b])
-            if not resid.is_zero():
-                return (a, b, resid)
+    orders = [a for a in sorted(series) if a <= cutoff - 1]
+    # [u, u] = 0 and [u, v] = -[v, u]: the pairs a < b meet the same first failure
+    for a, b in itertools.combinations(orders, 2):
+        resid = on.bracket_abstract(series[a], series[b])
+        if not resid.is_zero():
+            return (a, b, resid)
     return None
 
 
@@ -245,15 +242,11 @@ def check_charge_commutativity(dim: int, max_order: int) -> Report:
     report = Report("verify charges-commutativity", {"n": dim, "max_order": max_order})
     with timer(report):
         charges = extract_charges(dim, max_order)
-        bad = None
-        for a in charges:
-            for b in charges:
-                resid = on.bracket_abstract(a.value, b.value)
-                if not resid.is_zero():
-                    bad = f"[I_{a.order}, I_{b.order}] = {resid}"
-                    break
-            if bad:
-                break
+        # [u, u] = 0 and [u, v] = -[v, u]: the pairs a < b meet the same first failure
+        brackets = ((a, b, on.bracket_abstract(a.value, b.value))
+                    for a, b in itertools.combinations(charges, 2))
+        bad = next((f"[I_{a.order}, I_{b.order}] = {resid}"
+                    for a, b, resid in brackets if not resid.is_zero()), None)
         report.add("pairwise-commutativity", bad is None, bad)
         bad = next((f"I_{ch.order} coefficient not linear in parameters"
                     for ch in charges for coeff in ch.value.coeffs.values()

@@ -150,7 +150,18 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -c
+                continue
+            s -= c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return ParamPoly(_join_vars(self.vars, other.vars), terms)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -1,6 +1,7 @@
 """Bracket tables, exact reflection certificates, presentations, and the
 structure-constant extraction."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -56,6 +57,38 @@ def test_jacobi_negative_control():
     rep = aw.check_jacobi(t)
     assert not rep.ok()
     assert rep.failures()[0].detail  # locator present
+
+
+def _jacobi_reference(t):
+    """First failing triple in combination order, built from TableElements."""
+    for ia, ib, ic in itertools.combinations(range(t.dim), 3):
+        resid = t.jacobi_residual(ia, ib, ic)
+        if not resid.is_zero():
+            return f"triple ({t.basis[ia]},{t.basis[ib]},{t.basis[ic]}) residual {resid}"
+    return None
+
+
+@pytest.mark.parametrize("make", [aw.aw3_table, aw.aw4_table])
+def test_flat_jacobi_agrees_with_reference_on_mutants(make):
+    # every +-1/+-2 shift of one structure constant: the flat contraction and
+    # the element-level residual give the same verdict and the same locator
+    t = make()
+    assert aw.check_jacobi(t).ok() and _jacobi_reference(t) is None
+    mutants = 0
+    for key in sorted(t.table):
+        vec = t.table[key]
+        for ic in sorted(vec):
+            for shift in (1, -1, 2, -2):
+                changed = vec[ic] + shift
+                t.table[key] = {**vec, ic: changed} if not changed.is_zero() else {
+                    k: v for k, v in vec.items() if k != ic}
+                rep = aw.check_jacobi(t)
+                want = _jacobi_reference(t)
+                assert rep.ok() == (want is None), (key, ic, shift)
+                assert rep.checks[0].detail == want, (key, ic, shift)
+                mutants += 1
+            t.table[key] = vec
+    assert mutants == {8: 172, 15: 520}[t.dim]
 
 
 def test_B_matrix_entries():

@@ -211,3 +211,20 @@ def test_charge_scaling_linearity():
     for c in charges:
         for coeff in c.value.coeffs.values():
             assert all(sum(e for _, e in mono) == 1 for mono in coeff.terms)
+
+
+def test_commutativity_brackets_each_unordered_pair_once(monkeypatch):
+    # the bracket is antisymmetric: 4 charges need 6 brackets, b_0..b_4 need 10
+    calls = []
+    real = on.bracket_abstract
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(on, "bracket_abstract", counted)
+    assert ch.check_charge_commutativity(3, 3).ok()
+    assert len(calls) == 6
+    calls.clear()
+    assert ch.b_commutativity_mismatch(3, 5) is None
+    assert len(calls) == 10
