@@ -5,11 +5,8 @@ from .exactnum import (
     AlphabetError,
     ExactDivisionError,
     ParamPoly,
-    Rational,
-    RationalFn,
     SpectralLaurent,
     laurent_exact_div,
-    poly_arith,
 )
 from .report import Check, Report
 
@@ -18,12 +15,9 @@ __all__ = [
     "Check",
     "ExactDivisionError",
     "ParamPoly",
-    "Rational",
-    "RationalFn",
     "Report",
     "SpectralLaurent",
     "laurent_exact_div",
-    "poly_arith",
 ]
 
 __version__ = "0.1.0"

@@ -32,16 +32,6 @@ class ChargeParams:
     def ks(self, i: int, j: int) -> ParamPoly:
         return ParamPoly.variable(f"ks{i}_{j}")
 
-    def names(self) -> list:
-        out = [f"mu{i}" for i in range(1, self.dim + 1)]
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                out += [f"ka{i}_{j}", f"ks{i}_{j}"]
-        return out
-
-    def count(self) -> int:
-        return self.dim + self.dim * (self.dim - 1)
-
 
 def build_M(dim: int, xv: str = "x") -> TensorOperator:
     """The parameter matrix: (x - (-1)^N/x) mu_i on the diagonal,
@@ -255,12 +245,12 @@ def check_charge_commutativity(dim: int, max_order: int) -> Report:
     return report
 
 
-def check_charges(dim: int, max_order: int, cutoff: int | None = None) -> Report:
+def check_charges(dim: int, max_order: int) -> Report:
     """The full charge suite: condition, b(x) commutativity, charges."""
     report = Report("verify charges", {"n": dim, "max_order": max_order})
     with timer(report):
         report.extend(check_trace_condition(dim))
-        report.extend(check_b_commutativity(dim, cutoff or max_order + 2))
+        report.extend(check_b_commutativity(dim, max_order + 2))
         report.extend(check_charge_commutativity(dim, max_order))
         report.extend(check_charge_formulas(dim, max_order))
     return report

@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     es = e.add_subparsers(dest="target", required=True)
     q = es.add_parser("aw", parents=[common])
     q.add_argument("--n", type=_positive("n"), required=True)
-    q.add_argument("--convention", default="literal")
     q.add_argument("--out", required=True)
 
     c = sub.add_parser("charges", help="charge tables")
@@ -150,7 +149,7 @@ def dispatch(args) -> tuple:
             return aw.check_aw(args.n), None
         raise SystemExit(f"unknown suite {suite!r}")
     if args.command == "extract":
-        table, report = aw.extract_structure_constants(args.n, args.convention)
+        table, report = aw.extract_structure_constants(args.n)
         payload = None
         if table is not None:
             payload = (args.out, aw.export_table(table))

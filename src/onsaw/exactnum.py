@@ -6,9 +6,11 @@ Three layers, all exact and immutable:
   * ``ParamPoly`` -- sparse multivariate polynomials in named formal
     parameters (alpha, mu_i, kappa_ij, ...) over Fraction,
   * ``SpectralLaurent`` -- sparse Laurent polynomials in spectral
-    variables (x, y, x1, ...) with ParamPoly coefficients,
-  * ``RationalFn`` -- unreduced num/den pairs of Laurent polynomials;
-    equality is decided by cross multiplication, never by gcd.
+    variables (x, y, x1, ...) with ParamPoly coefficients.
+
+No quotient is ever a value: every identity is multiplied through by a
+declared clearing polynomial, and ``laurent_exact_div`` divides only where
+the division is exact.  No gcd is ever taken.
 
 The parameter ``eps`` is involutive: every monomial reduces eps-exponents
 mod 2, so an identity verified with symbolic eps holds for eps = +1 and
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 # names whose square is 1; exponents are reduced mod 2 on every monomial
 INVOLUTIVE = frozenset({"eps"})
 
@@ -29,7 +29,7 @@ Monomial = tuple
 
 
 class AlphabetError(ValueError):
-    """Raised when operands were declared over incompatible variable sets."""
+    """Raised when a substitution names a variable its operand is not declared over."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -37,8 +37,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _join_vars(a: frozenset, b: frozenset) -> frozenset:
-    # declared alphabets accumulate; the strict same-alphabet contract is
-    # enforced by poly_arith, the entry point that takes caller-level operands
+    # declared alphabets accumulate: the result is declared over both
     if a == b:
         return a
     if not a:
@@ -378,9 +377,6 @@ class SpectralLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and () in self.terms and self.terms[()] == 1
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -454,18 +450,6 @@ class SpectralLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("use RationalFn for negative powers")
-        out = SpectralLaurent.const(1, self.svars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -529,15 +513,6 @@ class SpectralLaurent:
                 terms[key] = c
         return SpectralLaurent(svars, terms)
 
-    def rename(self, mapping: dict) -> "SpectralLaurent":
-        """Bijective renaming of spectral variables."""
-        svars = frozenset(mapping.get(v, v) for v in self.svars)
-        terms = {}
-        for m, c in self.terms.items():
-            key = tuple(sorted((mapping.get(n, n), e) for n, e in m))
-            terms[key] = c
-        return SpectralLaurent(svars, terms)
-
     def degree(self, var: str) -> int:
         """Maximum exponent of ``var`` (0 for the zero polynomial)."""
         best = 0
@@ -554,10 +529,6 @@ class SpectralLaurent:
             if e < best:
                 best = e
         return best
-
-    def coefficient(self, powers: dict) -> ParamPoly:
-        key = tuple(sorted((n, e) for n, e in powers.items() if e))
-        return self.terms.get(key, ParamPoly.zero())
 
     def __str__(self):
         if not self.terms:
@@ -655,104 +626,3 @@ def _shift(p: SpectralLaurent, by: dict) -> SpectralLaurent:
                 d.pop(name, None)
         terms[tuple(sorted(d.items()))] = c
     return SpectralLaurent(p.svars, terms)
-
-
-class RationalFn:
-    """Unreduced quotient of two Laurent polynomials; den is never zero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SpectralLaurent, den: SpectralLaurent | None = None):
-        if den is None:
-            den = SpectralLaurent.const(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, value) -> "RationalFn":
-        if isinstance(value, RationalFn):
-            return value
-        if isinstance(value, SpectralLaurent):
-            return cls(value)
-        return cls(SpectralLaurent.const(value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = RationalFn.of(other)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RationalFn.of(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RationalFn.of(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = RationalFn.of(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def derivative(self, var: str) -> "RationalFn":
-        """Quotient-rule derivative with respect to a spectral variable."""
-        return RationalFn(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
-
-    def substitute(self, var: str, sign: int, powers: dict) -> "RationalFn":
-        return RationalFn(
-            self.num.substitute(var, sign, powers),
-            self.den.substitute(var, sign, powers),
-        )
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-def poly_arith(a, b, op: str):
-    """Arithmetic with the strict configuration contract.
-
-    Both operands must be the same kind (ParamPoly or SpectralLaurent) and
-    be declared over identical alphabets; anything else is a configuration
-    error.  op is one of "add", "sub", "mul".
-    """
-    if type(a) is not type(b):
-        raise AlphabetError(f"operand kinds differ: {type(a).__name__} vs {type(b).__name__}")
-    if isinstance(a, ParamPoly):
-        if a.vars != b.vars:
-            raise AlphabetError(f"alphabet mismatch: {sorted(a.vars)} vs {sorted(b.vars)}")
-    elif isinstance(a, SpectralLaurent):
-        if a.svars != b.svars:
-            raise AlphabetError(f"alphabet mismatch: {sorted(a.svars)} vs {sorted(b.svars)}")
-    else:
-        raise TypeError(f"unsupported operand type {type(a).__name__}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import loop_algebra as la
 from .exactnum import ParamPoly, SpectralLaurent
 from .report import Report, timer
-from .rmatrix import TensorOperator, build_r, build_r_single, parity_sign, u_signs
+from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, mismatch_detail, shift_bound
 
 
@@ -318,8 +318,9 @@ def _cleared_r(dim: int, clearing: SpectralLaurent) -> dict:
 
 def _r_prime_term(dim: int) -> TensorOperator:
     """-2 r'(x/y) (x/y) as a tensor operator (the c-coefficient in the
-    mixed relation); derivative taken in the single-variable realization."""
-    rp = build_r_single(dim, "_z").derivative("_z")
+    mixed relation); derivative taken in the single-variable realization
+    r(z) = r(x/y) at y = 1, denominator 1 - z."""
+    rp = build_r(dim, "_z", "_w").substitute("_w", 1, {}).derivative("_z")
     rp = rp.substitute("_z", 1, {"x": 1, "y": -1})
     xy = SpectralLaurent.monomial(1, {"x": 1, "y": -1})
     return rp.scale(xy * -2)

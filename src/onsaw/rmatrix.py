@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import RationalFn, SpectralLaurent, laurent_exact_div
+from .exactnum import SpectralLaurent, laurent_exact_div
 from .report import Check, Report, mono_str, timer
 
 
@@ -42,9 +42,6 @@ class TensorOperator:
         self.rows = rows if rows is not None else {}
 
     # -- indexing ------------------------------------------------------------
-
-    def size(self) -> int:
-        return self.dim ** self.legs
 
     def digits(self, idx: int) -> tuple:
         """Composite index -> 1-based digit per leg."""
@@ -77,18 +74,18 @@ class TensorOperator:
         else:
             row[c] = s
 
-    def entry(self, row_digits, col_digits) -> RationalFn:
+    def entry(self, row_digits, col_digits) -> SpectralLaurent:
+        """The entry's numerator over the master denominator ``den``."""
         r = self.index(row_digits)
         c = self.index(col_digits)
-        num = self.rows.get(r, {}).get(c, SpectralLaurent.zero())
-        return RationalFn(num, self.den)
+        return self.rows.get(r, {}).get(c, SpectralLaurent.zero())
 
-    def with_entry(self, row_digits, col_digits, value: RationalFn) -> "TensorOperator":
-        """Copy with one entry replaced (used to build corrupted controls)."""
+    def with_entry(self, row_digits, col_digits, num: SpectralLaurent) -> "TensorOperator":
+        """Copy with one entry's numerator over ``den`` replaced (used to
+        build corrupted controls)."""
         out = self.copy()
         r = out.index(row_digits)
         c = out.index(col_digits)
-        num = value.num * laurent_exact_div(out.den, value.den)
         row = out.rows.setdefault(r, {})
         if num.is_zero():
             row.pop(c, None)
@@ -252,13 +249,14 @@ class TensorOperator:
                 out.put(nrd, ncd, v)
         return out
 
-    def trace(self) -> RationalFn:
+    def trace(self) -> SpectralLaurent:
+        """The trace's numerator over the master denominator ``den``."""
         num = SpectralLaurent.zero()
         for r, row in self.rows.items():
             v = row.get(r)
             if v is not None:
                 num = num + v
-        return RationalFn(num, self.den)
+        return num
 
     def scale_leg_diag(self, leg: int, signs, side: str) -> "TensorOperator":
         """Multiply by a diagonal matrix diag(signs) on one leg.
@@ -374,27 +372,6 @@ def build_r(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
     return op
 
 
-def build_r_single(dim: int, zv: str = "z") -> TensorOperator:
-    """r(z) in one spectral variable, master denominator 1 - z."""
-    if dim < 2:
-        raise ValueError("need N >= 2")
-    z = var(zv)
-    op = TensorOperator(2, dim, _sl(1) - z)
-    w = _sl(1) + z
-    for i in range(1, dim + 1):
-        for k in range(1, dim + 1):
-            c = Fraction(-1, dim) + (1 if i == k else 0)
-            if c:
-                op.put((i, k), (i, k), w * c)
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i < j:
-                op.put((i, j), (j, i), _sl(2))
-            elif i > j:
-                op.put((i, j), (j, i), z * 2)
-    return op
-
-
 def u_signs(dim: int) -> list:
     """Diagonal of U = sum_j (-1)^j E_jj."""
     return [parity_sign(j) for j in range(1, dim + 1)]
@@ -412,7 +389,8 @@ def build_rbar_folded(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
     closed form's denominator ``rbar_clearing``."""
     sigma = parity_sign(dim)
     base = build_r(dim, xv, yv)
-    folded = build_r_single(dim, "_z").transpose_leg(1)
+    # r(z) in one variable (denominator 1 - z), then z -> (-1)^N/(x y)
+    folded = build_r(dim, "_z", "_w").substitute("_w", 1, {}).transpose_leg(1)
     folded = folded.substitute("_z", sigma, {xv: -1, yv: -1})
     signs = u_signs(dim)
     folded = folded.scale_leg_diag(1, signs, "left").scale_leg_diag(1, signs, "right")

@@ -27,9 +27,6 @@ class GeneratorMatrix:
         self.cutoff = cutoff
         self.coeffs = coeffs if coeffs is not None else {}
 
-    def matrix(self, exp: int):
-        return self.coeffs.get(exp)
-
     def entry(self, exp: int, i: int, j: int):
         """1-based matrix indices."""
         m = self.coeffs.get(exp)

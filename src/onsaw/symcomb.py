@@ -86,9 +86,6 @@ class SymbolCombination:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def coefficient(self, sym) -> ParamPoly:
-        return self.coeffs.get(sym, ParamPoly.zero())
-
     @staticmethod
     def symbol_str(sym) -> str:
         return repr(sym)

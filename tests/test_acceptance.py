@@ -158,7 +158,8 @@ def test_criterion_9_extraction():
         assert tbl5 is not None
         assert rep5.ok(), [c.detail for c in rep5.failures()]
         assert any("jacobi" in c.name for c in rep5.checks)
-        assert any("finite-dimensional" in c.name for c in rep5.checks)
+        assert any(c.name == "all brackets determined" and c.status == "pass"
+                   for c in rep5.checks)
 
 
 SUITES = [

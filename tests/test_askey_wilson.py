@@ -284,7 +284,3 @@ def test_export_import_roundtrip(tmp_path):
     # byte-exact on re-export
     assert json.dumps(aw.export_table(back)) == json.dumps(data)
 
-
-def test_unknown_convention_rejected():
-    with pytest.raises(ValueError):
-        aw.build_B_general(4, convention="mirror")

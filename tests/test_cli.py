@@ -90,7 +90,7 @@ def test_extract_recertifies_reflection(shift, tmp_path, monkeypatch, capsys):
     name_c, coeff = doc["brackets"][0][2][0]
     doc["brackets"][0][2][0] = [name_c, str(parse_param_poly(coeff) + shift)]
     monkeypatch.setattr(aw, "extract_structure_constants",
-                        lambda n, convention: (aw.import_table(doc), rep))
+                        lambda n: (aw.import_table(doc), rep))
     code, out = run_cli(["extract", "aw", "--n", "3", "--out", str(tmp_path / "bad.json"),
                          "--format", "json"], capsys)
     assert code == 1

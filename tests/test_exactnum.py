@@ -10,12 +10,11 @@ from onsaw.exactnum import (
     AlphabetError,
     ExactDivisionError,
     ParamPoly,
-    RationalFn,
     SpectralLaurent,
     laurent_exact_div,
     parse_param_poly,
-    poly_arith,
 )
+from onsaw.rmatrix import TensorOperator
 
 ALPHA = ParamPoly.variable("alpha")
 X = SpectralLaurent.variable("x")
@@ -108,26 +107,16 @@ def test_polynomial_products():
     assert p == want
 
 
-def test_poly_arith_contract():
-    a = ParamPoly.variable("alpha")
-    m = ParamPoly.variable("mu")
-    assert poly_arith(a, a, "mul") == a * a
-    with pytest.raises(AlphabetError):
-        poly_arith(a, m, "add")
-    with pytest.raises(AlphabetError):
-        poly_arith(X, Y, "add")
-    with pytest.raises(AlphabetError):
-        poly_arith(a, X, "add")
-
-
 def test_derivatives():
-    assert RationalFn.of(X).derivative("x") == RationalFn.of(ONE)
-    f = RationalFn(ONE + X, ONE - X)
-    assert RationalFn.of(f).derivative("x") == RationalFn(
-        SpectralLaurent.const(2), (ONE - X) * (ONE - X)
-    )
-    c0 = RationalFn.of(SpectralLaurent.const(ALPHA))
-    assert c0.derivative("x").is_zero()
+    assert X.derivative("x") == ONE
+    # quotient rule on a numerator over its denominator:
+    # d/dx (1+x)/(1-x) = 2/(1-x)^2
+    f = TensorOperator(1, 1, ONE - X)
+    f.put((1,), (1,), ONE + X)
+    df = f.derivative("x")
+    assert df.den == (ONE - X) * (ONE - X)
+    assert df.entry((1,), (1,)) == SpectralLaurent.const(2)
+    assert SpectralLaurent.const(ALPHA).derivative("x").is_zero()
 
 
 def test_substitution():
@@ -154,23 +143,6 @@ def test_substitution_product_map():
     xinv = SpectralLaurent.variable("x", -1) * SpectralLaurent.variable("y", -1)
     want = xinv * xinv + X * Y
     assert q == want
-
-
-@settings(max_examples=40)
-@given(laurents(), laurents(), laurents(), laurents())
-def test_rationalfn_cross_multiplication(p, q, r, s):
-    if q.is_zero() or s.is_zero():
-        return
-    lhs = RationalFn(p, q)
-    rhs = RationalFn(r, s)
-    assert (lhs == rhs) == ((p * s - r * q).is_zero())
-
-
-def test_rationalfn_equivalence_relation():
-    a = RationalFn(X * (ONE - X), (ONE - X) * Y)
-    b = RationalFn(X, Y)
-    c = RationalFn(X * X, X * Y)
-    assert a == b and b == c and a == c
 
 
 @settings(max_examples=40)

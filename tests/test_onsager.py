@@ -1,5 +1,7 @@
 """Canonicalization, the embedding oracle, and the B(x) relation checks."""
 
+from fractions import Fraction
+
 import pytest
 
 from onsaw import loop_algebra as la
@@ -190,6 +192,19 @@ def test_currents():
     rep = on.check_currents(2, 6)
     assert rep.ok(), [c.detail for c in rep.failures()]
     assert on.check_currents(3, 4).ok()
+
+
+def test_currents_negative_control(monkeypatch):
+    # H(0) = 1 instead of 1/2 breaks the exchange relations; the first
+    # failing pair and monomial are named
+    step = on._H
+    monkeypatch.setattr(on, "_H", lambda k: Fraction(1) if k == 0 else step(k))
+    for dim in (2, 3):
+        rep = on.check_currents(dim, 4)
+        assert not rep.ok()
+        detail = rep.failures()[0].detail
+        assert detail.startswith("currents (1, 1, 1, 2) monomial x^1 y^1 residual "), detail
+        assert detail.endswith("4*B[1,2]^(1)"), detail
 
 
 def test_current_modes_constant_term_rule():
