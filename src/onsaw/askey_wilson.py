@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ParamPoly, SpectralLaurent, _mono_mul, parse_param_poly
+from .exactnum import ParamPoly, SpectralLaurent, _mono_mul, _rational, parse_param_poly
 from .linsolve import SparseEliminator, matrix_rank
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
@@ -135,11 +135,6 @@ class StructTable:
             + self.bracket(b, self.bracket(c, a))
             + self.bracket(c, self.bracket(a, b))
         )
-
-
-def _rational(q: Fraction):
-    """q as an int when it is integral; int products are the cheap ones."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def _contraction(t: StructTable) -> dict:
@@ -477,15 +472,8 @@ def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
             a, bb, rd, cd, diff = mism
             detail = f"monomial x^{a} y^{bb} entry {rd}->{cd} residual {diff}"
         report.add("reflection-exact", mism is None, detail)
-        bad = None
-        for e in b.exponents():
-            tr = t.zero()
-            for i in range(1, b.dim + 1):
-                tr = tr + b.entry(e, i, i)
-            if not tr.is_zero():
-                bad = f"x^{e}: trace {tr}"
-                break
-        report.add("tracelessness", bad is None, bad)
+        bad = b.first_trace()
+        report.add("tracelessness", bad is None, bad and f"x^{bad[0]}: trace {bad[1]}")
     return report
 
 
@@ -557,19 +545,15 @@ def check_pro2(t: StructTable) -> Report:
         def br(u, v):
             return t.bracket(u, v)
 
-        bad = None
-        for i in range(1, 5):
-            for off, r in (
-                (None, br(e(i), br(e(i), e(i + 1))) - e(i + 1)),
-                (None, br(e(i), br(e(i), e(i - 1))) - e(i - 1)),
-                (None, br(e(i), e(i + 2))),
-                (None, br(br(e(i), e(i + 1)), br(e(i + 1), e(i + 2)))),
-            ):
-                if not r.is_zero():
-                    bad = f"relation at i={i}: residual {r}"
-                    break
-            if bad:
-                break
+        def residuals():
+            for i in range(1, 5):
+                yield i, br(e(i), br(e(i), e(i + 1))) - e(i + 1)
+                yield i, br(e(i), br(e(i), e(i - 1))) - e(i - 1)
+                yield i, br(e(i), e(i + 2))
+                yield i, br(br(e(i), e(i + 1)), br(e(i + 1), e(i + 2)))
+
+        bad = next((f"relation at i={i}: residual {r}" for i, r in residuals()
+                    if not r.is_zero()), None)
         report.add("quadratic-and-quartic-relations", bad is None, bad)
         bad = None
         for i in range(1, 5):

@@ -9,8 +9,11 @@ Three layers, all exact and immutable:
     variables (x, y, x1, ...) with ParamPoly coefficients.
 
 No quotient is ever a value: every identity is multiplied through by a
-declared clearing polynomial, and ``laurent_exact_div`` divides only where
-the division is exact.  No gcd is ever taken.
+declared clearing polynomial, and a division is taken only where it is
+exact.  There is one long division, ``ParamPoly.exact_div``;
+``laurent_exact_div`` shifts its operands into the polynomial cone,
+flattens spectral variables and parameters onto one alphabet and calls
+it.  No gcd is ever taken.  One ``term_str`` renders every signed term.
 
 The parameter ``eps`` is involutive: every monomial reduces eps-exponents
 mod 2, so an identity verified with symbolic eps holds for eps = +1 and
@@ -45,6 +48,11 @@ def _join_vars(a: frozenset, b: frozenset) -> frozenset:
     if not b:
         return a
     return a | b
+
+
+def _rational(q: Fraction):
+    """q itself, or the int it equals: products by an int are cheaper."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _mono_normal(pairs) -> Monomial:
@@ -218,10 +226,6 @@ class ParamPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- exact division ----------------------------------------------------
 
     def exact_div(self, den: "ParamPoly") -> "ParamPoly":
@@ -268,34 +272,33 @@ class ParamPoly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
-        return render_terms(self.terms, star="*")
+        return render_terms(self.terms)
 
     __repr__ = __str__
 
 
-def render_terms(terms: dict, star: str = "*") -> str:
-    """Canonical deterministic rendering of a monomial->Fraction map."""
+def term_str(c, body: str) -> str:
+    """One signed term ``c*body``; a coefficient with several terms is
+    bracketed, and an empty body leaves the coefficient alone."""
+    if body and c == 1:
+        return body
+    if body and c == -1:
+        return f"-{body}"
+    cs = str(c)
+    if "+" in cs[1:] or "-" in cs[1:]:
+        cs = f"({cs})"
+    return f"{cs}*{body}" if body else cs
+
+
+def render_terms(terms: dict) -> str:
+    """Canonical deterministic rendering of a monomial->coefficient map."""
     if not terms:
         return "0"
     chunks = []
     for mono in sorted(terms):
-        c = terms[mono]
-        body = star.join(
-            f"{name}^{exp}" if exp != 1 else name for name, exp in mono
-        )
-        if body:
-            if c == 1:
-                piece = body
-            elif c == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{c}{star}{body}"
-        else:
-            piece = str(c)
-        if chunks and not piece.startswith("-"):
-            chunks.append("+" + piece)
-        else:
-            chunks.append(piece)
+        body = "*".join(f"{name}^{exp}" if exp != 1 else name for name, exp in mono)
+        piece = term_str(terms[mono], body)
+        chunks.append(piece if not chunks or piece.startswith("-") else "+" + piece)
     return "".join(chunks)
 
 
@@ -413,7 +416,18 @@ class SpectralLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -c
+                continue
+            s = s - c
+            if s.is_zero():
+                del terms[m]
+            else:
+                terms[m] = s
+        return SpectralLaurent(_join_vars(self.svars, other.svars), terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -455,10 +469,6 @@ class SpectralLaurent:
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     # -- calculus and substitution ------------------------------------------
 
@@ -523,106 +533,57 @@ class SpectralLaurent:
         return best
 
     def min_degree(self, var: str) -> int:
-        best = 0
-        for m in self.terms:
-            e = dict(m).get(var, 0)
-            if e < best:
-                best = e
-        return best
+        """Minimum exponent of ``var`` over the support (0 for the zero
+        polynomial; positive when every term carries ``var``)."""
+        return min((dict(m).get(var, 0) for m in self.terms), default=0)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            body = "*".join(f"{n}^{e}" if e != 1 else n for n, e in mono)
-            if body and c == 1:
-                piece = body
-            elif body and c == -1:
-                piece = f"-{body}"
-            else:
-                cs = str(c)
-                if ("+" in cs[1:]) or ("-" in cs[1:]):
-                    cs = f"({cs})"
-                piece = f"{cs}*{body}" if body else cs
-            if chunks and not piece.startswith("-"):
-                chunks.append("+" + piece)
-            else:
-                chunks.append(piece)
-        return "".join(chunks)
+        return render_terms(self.terms)
 
     __repr__ = __str__
 
 
-def _true_min_degree(p: SpectralLaurent, var: str) -> int:
-    """Minimum exponent of ``var`` over the support (may be positive)."""
-    best = None
-    for m in p.terms:
-        e = dict(m).get(var, 0)
-        best = e if best is None else min(best, e)
-    return best or 0
+def _flatten(p: SpectralLaurent, svars: frozenset) -> ParamPoly:
+    """``p`` shifted into the polynomial cone, as one polynomial over the
+    joint alphabet of spectral variables and parameters."""
+    low = {v: p.min_degree(v) for v in svars}
+    pvars = frozenset()
+    terms = {}
+    for m, c in p.terms.items():
+        d = dict(m)
+        spec = [(v, d.get(v, 0) - e) for v, e in low.items() if d.get(v, 0) != e]
+        for pm, q in c.terms.items():
+            if any(name in svars for name, _ in pm):
+                raise ValueError(f"a parameter of {c} is named like a spectral variable")
+            terms[tuple(sorted(spec + list(pm)))] = q
+        pvars |= c.vars
+    return ParamPoly(svars | pvars, terms)
 
 
 def laurent_exact_div(num: SpectralLaurent, den: SpectralLaurent) -> SpectralLaurent:
-    """Exact division in the Laurent ring (monomials are units)."""
+    """Exact division in the Laurent ring (monomials are units).
+
+    Both operands are shifted into the polynomial cone and flattened onto
+    one alphabet, so the division itself is ``ParamPoly.exact_div``; the
+    quotient is split back into spectral monomials and shifted back.
+    """
     if den.is_zero():
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if num.is_zero():
         return SpectralLaurent(num.svars, {})
-    # shift both operands into the polynomial cone, divide there, shift back
-    allvars = sorted(num.svars | den.svars)
-    shift_n = {v: -_true_min_degree(num, v) for v in allvars}
-    shift_d = {v: -_true_min_degree(den, v) for v in allvars}
-    a = _shift(num, shift_n)
-    b = _shift(den, shift_d)
-
-    def okey(mono):
-        d = dict(mono)
-        return tuple(d.get(v, 0) for v in allvars)
-
-    rem = dict(a.terms)
-    quot: dict = {}
-    lt_b = max(b.terms, key=okey)
-    c_b = b.terms[lt_b]
-    d_b = dict(lt_b)
-    while rem:
-        lt = max(rem, key=okey)
-        d = dict(lt)
-        qm = {}
-        for name in set(d) | set(d_b):
-            e = d.get(name, 0) - d_b.get(name, 0)
-            if e < 0:
-                raise ExactDivisionError("inexact Laurent division")
-            if e:
-                qm[name] = e
-        qc = rem[lt].exact_div(c_b)
-        key = tuple(sorted(qm.items()))
-        quot[key] = quot.get(key, ParamPoly.zero()) + qc
-        for m, c in b.terms.items():
-            mm = dict(m)
-            for name, e in qm.items():
-                mm[name] = mm.get(name, 0) + e
-            kk = tuple(sorted((n, e) for n, e in mm.items() if e))
-            s = rem.get(kk, ParamPoly.zero()) - qc * c
-            if s.is_zero():
-                rem.pop(kk, None)
+    svars = num.svars | den.svars
+    q = _flatten(num, svars).exact_div(_flatten(den, svars))
+    back = {v: num.min_degree(v) - den.min_degree(v) for v in svars}
+    split: dict = {}
+    for m, c in q.terms.items():
+        spec = dict(back)
+        params = []
+        for name, e in m:
+            if name in svars:
+                spec[name] += e
             else:
-                rem[kk] = s
-    q = SpectralLaurent(num.svars | den.svars, {m: c for m, c in quot.items() if not c.is_zero()})
-    back = {v: shift_d[v] - shift_n[v] for v in allvars}
-    return _shift(q, back)
-
-
-def _shift(p: SpectralLaurent, by: dict) -> SpectralLaurent:
-    terms = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        for name, e in by.items():
-            ne = d.get(name, 0) + e
-            if ne:
-                d[name] = ne
-            else:
-                d.pop(name, None)
-        terms[tuple(sorted(d.items()))] = c
-    return SpectralLaurent(p.svars, terms)
+                params.append((name, e))
+        key = tuple(sorted((v, e) for v, e in spec.items() if e))
+        split.setdefault(key, {})[tuple(params)] = c
+    pvars = q.vars - svars
+    return SpectralLaurent(svars, {k: ParamPoly(pvars, t) for k, t in split.items()})

@@ -312,10 +312,6 @@ def check_theta_matrix_form(which: str, dim: int, cutoff: int, eps=None) -> Repo
 # -- the exchange relations ---------------------------------------------------
 
 
-def _cleared_r(dim: int, clearing: SpectralLaurent) -> dict:
-    return build_r(dim, "x", "y").cleared(clearing)
-
-
 def _r_prime_term(dim: int) -> TensorOperator:
     """-2 r'(x/y) (x/y) as a tensor operator (the c-coefficient in the
     mixed relation); derivative taken in the single-variable realization
@@ -339,7 +335,7 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
     y = SpectralLaurent.variable("y")
     mixed = sign_a != sign_b
     clearing = (y - x) * (y - x) if mixed else (y - x)
-    r_clear = _cleared_r(dim, clearing)
+    r_clear = build_r(dim, "x", "y").cleared(clearing)
     multipliers = [clearing] + list(r_clear.values())
     central_bis = None
     if mixed:
@@ -373,15 +369,12 @@ def _centrality_failures(dim: int, cutoff: int):
 
 
 def _trace_failures(dim: int, cutoff: int):
-    """Coefficients of T+- with a nonzero trace, in loop order; tracelessness
-    is structural, so diagonal sums must canonicalize to zero."""
+    """The first coefficient of T+, then of T-, with a nonzero trace;
+    tracelessness is structural, so diagonal sums must canonicalize to zero."""
     for sign in (1, -1):
-        for e, m in build_T(sign, dim, cutoff).coeffs.items():
-            tr = la.zero(dim)
-            for i in range(dim):
-                tr = tr + m[i][i]
-            if not tr.is_zero():
-                yield f"sign {sign:+d} exponent {e}: trace {tr}"
+        bad = build_T(sign, dim, cutoff).first_trace()
+        if bad is not None:
+            yield f"sign {sign:+d} exponent {bad[0]}: trace {bad[1]}"
 
 
 def check_frt(dim: int, cutoff: int) -> Report:

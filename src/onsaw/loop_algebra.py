@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ParamPoly
+from .exactnum import ParamPoly, _rational
 from .symcomb import SymbolCombination
 
 CENTRAL = ("c",)
@@ -136,11 +136,6 @@ def _as_e_terms(dim: int, sym):
 # weight), a shape being a basis symbol without its level; at most
 # (N^2-1)^2 entries per N, whatever the levels
 _STRUCTURE: dict = {}
-
-
-def _rational(q: Fraction):
-    """q itself, or the int it equals: products by an int are cheaper."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def _structure(dim: int, shape_a: tuple, shape_b: tuple) -> tuple:

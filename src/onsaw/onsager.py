@@ -23,7 +23,7 @@ from .exactnum import SpectralLaurent
 from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import BiSeries, GeneratorMatrix, mismatch_detail, shift_bound
+from .series import BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail, shift_bound
 from .symcomb import SymbolCombination
 
 
@@ -167,10 +167,6 @@ def check_presentation_agreement(dim: int, levels: int) -> Report:
     return report
 
 
-def _ui_theta(cond: bool) -> int:
-    return 1 if cond else 0
-
-
 def check_UI_relations(dim: int, levels: int) -> Report:
     """The original A/G-form relations, instantiated and checked abstractly."""
     report = Report("verify onsager-ui", {"n": dim, "levels": levels})
@@ -197,14 +193,14 @@ def check_UI_relations(dim: int, levels: int) -> Report:
                 if i == l:
                     rhs = rhs - A(k, j, m + n)
                 if i == k:
-                    if _ui_theta(j < l):
+                    if j < l:
                         rhs = rhs + A(j, l, n - m).scale(parity_sign(i + j + 1 + m * dim))
-                    if _ui_theta(l < j):
+                    if l < j:
                         rhs = rhs + A(l, j, m - n).scale(parity_sign(i + l + n * dim))
                 if j == l:
-                    if _ui_theta(i < k):
+                    if i < k:
                         rhs = rhs + A(i, k, m - n).scale(parity_sign(k + l + 1 + n * dim))
-                    if _ui_theta(k < i):
+                    if k < i:
                         rhs = rhs + A(k, i, n - m).scale(parity_sign(i + l + m * dim))
                 if i == k and j == l:
                     # telescoped sum of G_s^(m-n), s = i..j-1, either order
@@ -253,23 +249,19 @@ def check_OAn_presentation(dim: int) -> Report:
     report = Report("verify onsager-oan", {"n": dim})
     with timer(report):
         gens = oan_generators(dim)
-        bad = None
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                adjacent = (abs(i - j) == 1) or (abs(i - j) == dim - 1)
-                if adjacent:
-                    resid = bracket_abstract(gens[i], bracket_abstract(gens[i], gens[j])) - gens[j]
-                    label = f"[[e{i+1},[e{i+1},e{j+1}]] - e{j+1}"
-                else:
-                    resid = bracket_abstract(gens[i], gens[j])
-                    label = f"[e{i+1},e{j+1}]"
-                if not resid.is_zero():
-                    bad = f"{label} residual {resid}"
-                    break
-            if bad:
-                break
+
+        def residuals():
+            for i in range(dim):
+                for j in range(dim):
+                    if i == j:
+                        continue
+                    if abs(i - j) in (1, dim - 1):  # adjacent on the cycle
+                        yield (f"[[e{i+1},[e{i+1},e{j+1}]] - e{j+1}",
+                               bracket_abstract(gens[i], bracket_abstract(gens[i], gens[j])) - gens[j])
+                    else:
+                        yield f"[e{i+1},e{j+1}]", bracket_abstract(gens[i], gens[j])
+
+        bad = next((f"{label} residual {r}" for label, r in residuals() if not r.is_zero()), None)
         report.add("n-generator-presentation", bad is None, bad)
     return report
 
@@ -338,16 +330,9 @@ def check_reflection(dim: int, cutoff: int) -> Report:
         detail = None if mism is None else mismatch_detail(mism)
         report.add(f"reflection [window {window}]", mism is None, detail)
         # tr_1 B(x) = 0 holds structurally through the trace reduction
-        b = build_B_matrix(dim, cutoff)
-        bad = None
-        for e, m in b.coeffs.items():
-            tr = zero(dim)
-            for i in range(dim):
-                tr = tr + m[i][i]
-            if not tr.is_zero():
-                bad = f"exponent {e}: trace {tr}"
-                break
-        report.add("tracelessness", bad is None, bad)
+        bad = build_B_matrix(dim, cutoff).first_trace()
+        report.add("tracelessness", bad is None,
+                   bad and f"exponent {bad[0]}: trace {bad[1]}")
     return report
 
 
@@ -370,8 +355,6 @@ def current_modes(dim: int, i: int, j: int, cutoff: int) -> dict:
 
 def _series_convolve(series: dict, slot: int, scal: SpectralLaurent, out: dict) -> None:
     """Accumulate series (in slot 0=x, 1=y) times a scalar (x,y)-polynomial."""
-    from .series import laurent_xy_terms
-
     for ex, ey, coeff in laurent_xy_terms(scal, "x", "y"):
         for n, elem in series.items():
             key = (n + ex, ey) if slot == 0 else (ex, n + ey)
@@ -386,8 +369,6 @@ def _series_convolve(series: dict, slot: int, scal: SpectralLaurent, out: dict) 
 
 def currents_mismatch(dim: int, cutoff: int):
     """Check every current exchange relation; returns (mismatch, window)."""
-    from .series import laurent_xy_terms
-
     sigma = parity_sign(dim)
     x = SpectralLaurent.variable("x")
     y = SpectralLaurent.variable("y")

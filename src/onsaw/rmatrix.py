@@ -60,19 +60,7 @@ class TensorOperator:
     # -- construction ----------------------------------------------------------
 
     def put(self, row_digits, col_digits, num: SpectralLaurent) -> None:
-        if num.is_zero():
-            return
-        r = self.index(row_digits)
-        c = self.index(col_digits)
-        row = self.rows.setdefault(r, {})
-        cur = row.get(c)
-        s = num if cur is None else cur + num
-        if s.is_zero():
-            row.pop(c, None)
-            if not row:
-                del self.rows[r]
-        else:
-            row[c] = s
+        _acc(self.rows, self.index(row_digits), self.index(col_digits), num)
 
     def entry(self, row_digits, col_digits) -> SpectralLaurent:
         """The entry's numerator over the master denominator ``den``."""

@@ -73,6 +73,17 @@ class GeneratorMatrix:
             out[e] = [[m[j][i] for j in range(self.dim)] for i in range(self.dim)]
         return GeneratorMatrix(self.dim, self.cutoff, out)
 
+    def first_trace(self):
+        """(exponent, trace) of the first coefficient, in insertion order,
+        whose trace is nonzero; None when every coefficient is traceless."""
+        for e, m in self.coeffs.items():
+            tr = m[0][0]
+            for i in range(1, self.dim):
+                tr = tr + m[i][i]
+            if not tr.is_zero():
+                return e, tr
+        return None
+
     def first_mismatch(self, other: "GeneratorMatrix", window=None):
         """Compare coefficient-wise; returns (exp, i, j, left, right) or None."""
         exps = set(self.coeffs) | set(other.coeffs)

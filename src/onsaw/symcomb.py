@@ -6,7 +6,7 @@ as a sparse map from canonical basis symbols to ParamPoly coefficients.
 
 from __future__ import annotations
 
-from .exactnum import ParamPoly
+from .exactnum import ParamPoly, term_str
 
 
 def as_coeff(value) -> ParamPoly:
@@ -82,10 +82,6 @@ class SymbolCombination:
             return NotImplemented
         return self.dim == other.dim and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     @staticmethod
     def symbol_str(sym) -> str:
         return repr(sym)
@@ -93,19 +89,7 @@ class SymbolCombination:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        parts = []
-        for sym in sorted(self.coeffs):
-            c = self.coeffs[sym]
-            if c == 1:
-                parts.append(self.symbol_str(sym))
-                continue
-            if c == -1:
-                parts.append(f"-{self.symbol_str(sym)}")
-                continue
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{self.symbol_str(sym)}")
-        return " + ".join(parts)
+        return " + ".join(term_str(self.coeffs[sym], self.symbol_str(sym))
+                          for sym in sorted(self.coeffs))
 
     __repr__ = __str__

@@ -6,6 +6,7 @@ bounds.  Each test prints one pass/fail line (visible with pytest -s).
 """
 
 import json
+import pathlib
 import time
 
 from onsaw import askey_wilson as aw
@@ -179,8 +180,14 @@ SUITES = [
 ]
 
 
+# each SUITES report without elapsed_ms, and the exported extract aw --n 5
+# table, as produced before the last change to the exact-number layer
+GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
+
+
 def test_criterion_10_determinism(capsys, tmp_path):
     with criterion(10, "byte-identical JSON reports across repeated runs", 600):
+        golden = json.loads(GOLDEN.read_text())
         for argv in SUITES:
             full = argv + ["--format", "json"]
             code1 = cli.main(full)
@@ -191,6 +198,7 @@ def test_criterion_10_determinism(capsys, tmp_path):
             d1, d2 = json.loads(out1), json.loads(out2)
             d1.pop("elapsed_ms"), d2.pop("elapsed_ms")
             assert json.dumps(d1) == json.dumps(d2), argv
+            assert json.dumps(d1) == json.dumps(golden["reports"][" ".join(argv)]), argv
         # extraction with a file artifact is also reproducible
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -199,3 +207,8 @@ def test_criterion_10_determinism(capsys, tmp_path):
         cli.main(["extract", "aw", "--n", "3", "--out", str(out_b), "--format", "json"])
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+        out_5 = tmp_path / "t5.json"
+        cli.main(["extract", "aw", "--n", "5", "--out", str(out_5), "--format", "json"])
+        capsys.readouterr()
+        want = json.dumps(golden["extract aw --n 5 table"], indent=1) + "\n"
+        assert out_5.read_text() == want

@@ -120,6 +120,18 @@ def test_reflection_negative_control():
     assert mism is not None
 
 
+def test_reflection_tracelessness_negative_control():
+    # a diagonal shift planted at every exponent is named at the first one
+    t = aw.aw3_table()
+    b = aw.build_B_aw(3)
+    shift = t.unit("e1")
+    for m in b.coeffs.values():
+        m[0][0] = m[0][0] + shift
+    first = next(iter(b.coeffs))
+    detail = {c.name: c.detail for c in aw.check_reflection_aw(t, b).failures()}
+    assert detail["tracelessness"] == f"x^{first}: trace {shift}"
+
+
 def test_pro1():
     rep = aw.check_pro1(aw.aw3_table())
     assert rep.ok(), [c.detail for c in rep.failures()]

@@ -158,6 +158,52 @@ def test_exact_division_failure():
         laurent_exact_div(X + ONE, X - ONE)
 
 
+@settings(max_examples=40)
+@given(laurents(), laurents(), param_polys(), param_polys())
+def test_exact_division_roundtrip_parametric(a, b, p, q):
+    a = a * SpectralLaurent.const(p)
+    b = b + X * SpectralLaurent.const(q)
+    if b.is_zero():
+        return
+    assert laurent_exact_div(a * b, b) == a
+
+
+def test_exact_division_parametric_leading_coefficient():
+    den = SpectralLaurent.const(ALPHA) * X + ONE
+    p = SpectralLaurent.variable("x", -1) - SpectralLaurent.const(ALPHA) * Y + ONE * 2
+    assert laurent_exact_div(den * p, den) == p
+
+
+def test_exact_division_monomial_factor():
+    # (1 - x) / (x - x^2) = x^-1
+    assert laurent_exact_div(ONE - X, X - X * X) == SpectralLaurent.variable("x", -1)
+
+
+def test_exact_division_parametric_inexact():
+    with pytest.raises(ExactDivisionError):
+        laurent_exact_div(SpectralLaurent.const(ALPHA) * X + ONE, X + SpectralLaurent.const(ALPHA))
+
+
+def test_exact_division_rejects_parameter_named_like_spectral_variable():
+    clash = SpectralLaurent.const(ParamPoly.variable("x")) * X
+    with pytest.raises(ValueError):
+        laurent_exact_div(clash, X)
+    with pytest.raises(ValueError):
+        laurent_exact_div(X, clash)
+
+
+def test_laurent_rendering():
+    a = SpectralLaurent.const(ALPHA)
+    multi = ((a + ONE) * X - SpectralLaurent.variable("y", -1) * 2 + X * Y
+             - SpectralLaurent.const(Fraction(3, 2)))
+    assert str(multi) == "-3/2+(1+alpha)*x+x*y-2*y^-1"
+    neg = (ONE - a) * SpectralLaurent.variable("x", -2) - X - a * Y
+    assert str(neg) == "(1-alpha)*x^-2-x-alpha*y"
+    assert str(SpectralLaurent.const(ALPHA * ALPHA - 1)) == "(-1+alpha^2)"
+    assert str(-X * X * Y + SpectralLaurent.const(Fraction(-1, 3)) * Y) == "-x^2*y-1/3*y"
+    assert str(SpectralLaurent.zero()) == "0"
+
+
 def test_eps_is_involutive():
     e = ParamPoly.variable("eps")
     assert e * e == ParamPoly.one()

@@ -188,6 +188,22 @@ def test_reflection_negative_control():
     assert mism is not None
 
 
+def test_reflection_tracelessness_negative_control(monkeypatch):
+    # a diagonal shift planted at every exponent is named at the first one
+    build = on.build_B_matrix
+    shift = on.canonicalize_B(2, 1, 2, 1)
+
+    def shifted(dim, cutoff):
+        b = build(dim, cutoff)
+        for m in b.coeffs.values():
+            m[0][0] = m[0][0] + shift
+        return b
+
+    monkeypatch.setattr(on, "build_B_matrix", shifted)
+    detail = {c.name: c.detail for c in on.check_reflection(2, 4).failures()}
+    assert detail["tracelessness"] == f"exponent 0: trace {shift}"
+
+
 def test_currents():
     rep = on.check_currents(2, 6)
     assert rep.ok(), [c.detail for c in rep.failures()]
