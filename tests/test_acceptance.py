@@ -181,7 +181,8 @@ SUITES = [
 
 
 # each SUITES report without elapsed_ms, and the exported extract aw --n 5
-# table, as produced before the last change to the exact-number layer
+# table: reports stay byte-identical across commits unless a change means
+# to alter one, and then this file changes with it
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 
 
