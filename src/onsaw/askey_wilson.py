@@ -67,7 +67,7 @@ class StructTable:
         self.basis = list(basis)
         self.index = {name: k for k, name in enumerate(basis)}
         self.gen_indices = list(gen_indices)
-        self.words = list(words)  # per basis: (Fraction, Word) or None
+        self.words = list(words)  # per basis: (rational, Word) or None
         self.table: dict = {}     # (ia, ib) with ia < ib -> {ic: ParamPoly}
 
     @property
@@ -191,9 +191,9 @@ def aw3_table() -> StructTable:
     """The eight-dimensional rank-3 quotient with symbolic alpha."""
     basis = ["e1", "e2", "e3", "f1", "f2", "f3", "g1", "g2"]
     words = [
-        (Fraction(1), Word((1,))), (Fraction(1), Word((2,))), (Fraction(1), Word((3,))),
-        (Fraction(1), Word((2, 3))), (Fraction(1), Word((3, 1))), (Fraction(1), Word((1, 2))),
-        (Fraction(1), Word((1, 2, 3))), (Fraction(1), Word((2, 3, 1))),
+        (1, Word((1,))), (1, Word((2,))), (1, Word((3,))),
+        (1, Word((2, 3))), (1, Word((3, 1))), (1, Word((1, 2))),
+        (1, Word((1, 2, 3))), (1, Word((2, 3, 1))),
     ]
     t = StructTable(3, basis, [0, 1, 2], words)
     one = ParamPoly.one()
@@ -217,12 +217,12 @@ def aw3_table() -> StructTable:
     for i in range(1, 4):
         for j in range(1, 4):
             # [e_i, e_j] = eps_ijk f_k
-            pairs = [(f"f{k}", Fraction(_eps3(i, j, k))) for k in range(1, 4) if _eps3(i, j, k)]
+            pairs = [(f"f{k}", _eps3(i, j, k)) for k in range(1, 4) if _eps3(i, j, k)]
             t.set_bracket(t.index[f"e{i}"], t.index[f"e{j}"], vec(pairs))
             # [e_i, f_j] = d_ij g_i - eps_ijk e_k
-            pairs = [(f"e{k}", Fraction(-_eps3(i, j, k))) for k in range(1, 4) if _eps3(i, j, k)]
+            pairs = [(f"e{k}", -_eps3(i, j, k)) for k in range(1, 4) if _eps3(i, j, k)]
             if i == j:
-                pairs.append((g(i), Fraction(1)))
+                pairs.append((g(i), 1))
             t.set_bracket(t.index[f"e{i}"], t.index[f"f{j}"], vec(pairs))
             # [f_i, f_j] = eps_ijk (f_k - alpha e_k)
             out: dict = {}
@@ -257,10 +257,10 @@ def aw4_table() -> StructTable:
     """The fifteen-dimensional rank-4 quotient, indices mod 4."""
     basis = [f"e{i}" for i in range(1, 5)] + [f"f{i}" for i in range(1, 5)] \
         + [f"g{i}" for i in range(1, 5)] + [f"h{i}" for i in range(1, 4)]
-    words = [(Fraction(1), Word((i,))) for i in range(1, 5)]
-    words += [(Fraction(1), cyclic_word(i + 2, i + 3, 4)) for i in range(1, 5)]
-    words += [(Fraction(-1), cyclic_word(i + 1, i + 3, 4)) for i in range(1, 5)]
-    words += [(Fraction(1), cyclic_word(l, l - 1, 4)) for l in range(1, 4)]
+    words = [(1, Word((i,))) for i in range(1, 5)]
+    words += [(1, cyclic_word(i + 2, i + 3, 4)) for i in range(1, 5)]
+    words += [(-1, cyclic_word(i + 1, i + 3, 4)) for i in range(1, 5)]
+    words += [(1, cyclic_word(l, l - 1, 4)) for l in range(1, 4)]
     t = StructTable(4, basis, [0, 1, 2, 3], words)
 
     def m(i):  # mod-4 into 1..4
@@ -296,44 +296,44 @@ def aw4_table() -> StructTable:
             # [e_i, f_j]
             vec: dict = {}
             if j == i:
-                add(vec, base("g", i + 1), Fraction(1))
+                add(vec, base("g", i + 1), 1)
             if j == m(i - 1):
-                add(vec, base("g", i - 1), Fraction(-1))
+                add(vec, base("g", i - 1), -1)
             if j == m(i + 1):
-                add(vec, base("e", i - 1), Fraction(-1))
+                add(vec, base("e", i - 1), -1)
             if j == m(i + 2):
-                add(vec, base("e", i + 1), Fraction(1))
+                add(vec, base("e", i + 1), 1)
             pending.append((f"e{i}", f"f{j}", vec))
             # [e_i, g_j]
             vec = {}
             if j == i:
-                add(vec, h(i), Fraction(-1))
+                add(vec, h(i), -1)
             if j == m(i + 1):
-                add(vec, base("f", i), Fraction(1))
+                add(vec, base("f", i), 1)
             if j == m(i - 1):
-                add(vec, base("f", i - 1), Fraction(-1))
+                add(vec, base("f", i - 1), -1)
             pending.append((f"e{i}", f"g{j}", vec))
             # [e_i, h_j] (j = 4 resolved; every instance recorded)
             vec = {}
             if j == i:
                 add(vec, base("e", i), ALPHA * -2)
-                add(vec, base("g", i), Fraction(-4))
+                add(vec, base("g", i), -4)
             if j in (m(i + 1), m(i - 1)):
                 add(vec, base("e", i), ALPHA)
-                add(vec, base("g", i), Fraction(2))
+                add(vec, base("g", i), 2)
             pending.append((f"e{i}", f"h{j}" if j < 4 else "h4", vec))
             # [f_i, g_j]
             vec = {}
             if j == m(i - 1):
                 add(vec, base("e", i - 2), -ALPHA)
-                add(vec, base("g", i - 2), Fraction(-1))
+                add(vec, base("g", i - 2), -1)
             if j == m(i - 2):
                 add(vec, base("e", i - 1), ALPHA)
-                add(vec, base("g", i - 1), Fraction(1))
+                add(vec, base("g", i - 1), 1)
             if j == i:
-                add(vec, base("e", i + 1), Fraction(-1))
+                add(vec, base("e", i + 1), -1)
             if j == m(i + 1):
-                add(vec, base("e", i), Fraction(1))
+                add(vec, base("e", i), 1)
             pending.append((f"f{i}", f"g{j}", vec))
             # [f_i, h_j]
             w = (1 if j == i else 0) - (1 if j == m(i - 1) else 0) \
@@ -341,23 +341,23 @@ def aw4_table() -> StructTable:
             vec = {}
             if w:
                 add(vec, base("f", i), ALPHA * w)
-                add(vec, base("f", i + 2), Fraction(2 * w))
+                add(vec, base("f", i + 2), 2 * w)
             pending.append((f"f{i}", f"h{j}" if j < 4 else "h4", vec))
             # [g_i, h_j]
             vec = {}
             if j == i:
-                add(vec, base("e", i), Fraction(4))
+                add(vec, base("e", i), 4)
                 add(vec, base("g", i), ALPHA * 2)
             if j in (m(i + 1), m(i - 1)):
-                add(vec, base("e", i), Fraction(-2))
+                add(vec, base("e", i), -2)
                 add(vec, base("g", i), -ALPHA)
             pending.append((f"g{i}", f"h{j}" if j < 4 else "h4", vec))
         # [f_i, f_{i+1}] = 0;  [f_i, f_{i+2}] = -h_i - h_{i+1}
         pending.append((f"f{i}", f"f{m(i+1)}", {}))
-        vec = add(add({}, h(i), Fraction(-1)), h(i + 1), Fraction(-1))
+        vec = add(add({}, h(i), -1), h(i + 1), -1)
         pending.append((f"f{i}", f"f{m(i+2)}", vec))
         # [g_i, g_{i+1}] = -alpha f_i - f_{i+2};  [g_i, g_{i+2}] = 0
-        vec = add({t.index[f"f{m(i)}"]: -ALPHA}, base("f", i + 2), Fraction(-1))
+        vec = add({t.index[f"f{m(i)}"]: -ALPHA}, base("f", i + 2), -1)
         pending.append((f"g{i}", f"g{m(i+1)}", vec))
         pending.append((f"g{i}", f"g{m(i+2)}", {}))
     for a in range(1, 4):
@@ -618,25 +618,25 @@ def build_B_general(rank: int) -> dict:
                     diag.append((w(l, l - 1), c))
                 entry[0] = el(diag)
             elif (i, j) == (1, n):
-                entry[0] = el([(Word((n,)), Fraction(parity_sign(n + 1)))])
-                entry[-1] = el([(w(1, n - 1), Fraction(1))])
+                entry[0] = el([(Word((n,)), parity_sign(n + 1))])
+                entry[-1] = el([(w(1, n - 1), 1)])
             elif (i, j) == (n, 1):
-                entry[0] = el([(Word((n,)), Fraction(1))])
-                entry[1] = el([(w(1, n - 1), Fraction(-1))])
+                entry[0] = el([(Word((n,)), 1)])
+                entry[1] = el([(w(1, n - 1), -1)])
             elif j - i == 1:
-                entry[0] = el([(w(i + 1, i - 1), Fraction(-sgn_n))])
-                entry[-1] = el([(Word((i,)), Fraction(sgn_n))])
+                entry[0] = el([(w(i + 1, i - 1), -sgn_n)])
+                entry[-1] = el([(Word((i,)), sgn_n)])
             elif i - j == 1:
-                entry[0] = el([(w(j + 1, j - 1), Fraction(sgn_n))])
-                entry[1] = el([(Word((j,)), Fraction(-1))])
+                entry[0] = el([(w(j + 1, j - 1), sgn_n)])
+                entry[1] = el([(Word((j,)), -1)])
             elif i < j:
                 s = parity_sign((j - i) * (n + 1))
-                entry[0] = el([(w(j, i - 1), Fraction(s))])
-                entry[-1] = el([(w(i, j - 1), Fraction(s * parity_sign(j - i)))])
+                entry[0] = el([(w(j, i - 1), s)])
+                entry[-1] = el([(w(i, j - 1), s * parity_sign(j - i))])
             else:
                 s = parity_sign((i - j) * n)
-                entry[0] = el([(w(i, j - 1), Fraction(s))])
-                entry[1] = el([(w(j, i - 1), Fraction(s * parity_sign((i - j) + n)))])
+                entry[0] = el([(w(i, j - 1), s)])
+                entry[1] = el([(w(j, i - 1), s * parity_sign((i - j) + n))])
             entries[(i, j)] = {e: v.scale(2) for e, v in entry.items()}
     return entries
 
@@ -727,7 +727,7 @@ def extract_structure_constants(rank: int):
         basis = [str(w) for w in words]
         gen_indices = [widx[Word((i,))] for i in range(1, rank + 1)]
         tbl = StructTable(rank, basis, gen_indices,
-                          [(Fraction(1), w) for w in words])
+                          [(1, w) for w in words])
         for (a, b), vec in result.solutions.items():
             tbl.set_bracket(a, b, vec)
         report.extend(check_jacobi(tbl, label=f"extracted-jacobi rank {rank}"))
@@ -825,7 +825,7 @@ def import_table(data: dict) -> StructTable:
         if w is None:
             words.append(None)
         else:
-            words.append((Fraction(w[0]), Word(tuple(w[1]))))
+            words.append((_rational(Fraction(w[0])), Word(tuple(w[1]))))
     t = StructTable(
         data["rank"],
         data["basis"],

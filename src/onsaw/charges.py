@@ -178,7 +178,7 @@ def proportionality(a: on.OnsagerElement, b: on.OnsagerElement):
     ca = pa.terms.get(mono)
     if ca is None:
         return None
-    q = ca / pb.terms[mono]
+    q = Fraction(ca) / pb.terms[mono]
     return q if (a - b.scale(q)).is_zero() else None
 
 

@@ -4,7 +4,9 @@ Three layers, all exact and immutable:
 
   * ``Fraction`` (stdlib) is the ground field of rationals,
   * ``ParamPoly`` -- sparse multivariate polynomials in named formal
-    parameters (alpha, mu_i, kappa_ij, ...) over Fraction,
+    parameters (alpha, mu_i, kappa_ij, ...) with exact rational
+    coefficients, each stored as an ``int`` when integral and as a
+    ``Fraction`` (denominator > 1) otherwise,
   * ``SpectralLaurent`` -- sparse Laurent polynomials in spectral
     variables (x, y, x1, ...) with ParamPoly coefficients.
 
@@ -50,8 +52,9 @@ def _join_vars(a: frozenset, b: frozenset) -> frozenset:
     return a | b
 
 
-def _rational(q: Fraction):
-    """q itself, or the int it equals: products by an int are cheaper."""
+def _rational(q):
+    """The stored form of a rational q: the int it equals when integral,
+    else the Fraction itself; products by an int are cheaper."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -78,7 +81,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class ParamPoly:
-    """Sparse polynomial in named formal parameters with Fraction coefficients."""
+    """Sparse polynomial in named formal parameters with exact rational
+    coefficients, stored as ``int`` when integral and ``Fraction`` otherwise.
+
+    Every ``ParamPoly`` is built in this module, which keeps that form."""
 
     __slots__ = ("vars", "terms")
 
@@ -90,12 +96,19 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value, vars: frozenset = frozenset()) -> "ParamPoly":
-        q = Fraction(value)
-        return cls(vars, {(): q} if q else {})
+        if type(value) is not int:
+            if isinstance(value, Fraction):
+                value = _rational(value)
+            elif isinstance(value, int):
+                value = int(value)  # a bool is stored as the int it equals
+            else:
+                raise TypeError(
+                    f"a coefficient is an int or a Fraction, not {type(value).__name__}")
+        return cls(vars, {(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
-        return cls(frozenset({name}), {((name, 1),): Fraction(1)})
+        return cls(frozenset({name}), {((name, 1),): 1})
 
     @classmethod
     def zero(cls) -> "ParamPoly":
@@ -103,7 +116,7 @@ class ParamPoly:
 
     @classmethod
     def one(cls) -> "ParamPoly":
-        return cls(frozenset(), {(): Fraction(1)})
+        return cls(frozenset(), {(): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -113,9 +126,9 @@ class ParamPoly:
     def is_const(self) -> bool:
         return all(m == () for m in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")
         return self.terms[()]
@@ -143,7 +156,7 @@ class ParamPoly:
                 continue
             s += c
             if s:
-                terms[m] = s
+                terms[m] = _rational(s)
             else:
                 del terms[m]
         return ParamPoly(vars_, terms)
@@ -165,7 +178,7 @@ class ParamPoly:
                 continue
             s -= c
             if s:
-                terms[m] = s
+                terms[m] = _rational(s)
             else:
                 del terms[m]
         return ParamPoly(_join_vars(self.vars, other.vars), terms)
@@ -177,11 +190,12 @@ class ParamPoly:
         """self * q for a rational scalar q, declared over vars_."""
         if not q:
             return ParamPoly(vars_, {})
+        q = _rational(q)
         if q == 1:
             return ParamPoly(vars_, dict(self.terms))
         if q == -1:
             return ParamPoly(vars_, {m: -c for m, c in self.terms.items()})
-        return ParamPoly(vars_, {m: c * q for m, c in self.terms.items()})
+        return ParamPoly(vars_, {m: _rational(c * q) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         # constant operands scale the terms directly; the alphabet joins as
@@ -199,9 +213,9 @@ class ParamPoly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                s = terms.get(m, Fraction(0)) + ca * cb
+                s = terms.get(m, 0) + ca * cb
                 if s:
-                    terms[m] = s
+                    terms[m] = _rational(s)
                 else:
                     terms.pop(m, None)
         return ParamPoly(vars_, terms)
@@ -234,7 +248,8 @@ class ParamPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if den.is_const():
             q = den.terms[()]
-            return ParamPoly(self.vars, {m: c / q for m, c in self.terms.items()})
+            return ParamPoly(self.vars, {m: _rational(Fraction(c) / q)
+                                         for m, c in self.terms.items()})
         allvars = sorted({n for m in self.terms for n, _ in m}
                          | {n for m in den.terms for n, _ in m})
 
@@ -258,16 +273,16 @@ class ParamPoly:
                 if e:
                     qm[name] = e
             qmono = _mono_normal(qm.items())
-            qc = rem[lt] / c_den
-            quot[qmono] = quot.get(qmono, Fraction(0)) + qc
+            qc = Fraction(rem[lt]) / c_den
+            quot[qmono] = quot.get(qmono, 0) + qc
             for m, c in den.terms.items():
                 mm = _mono_mul(qmono, m)
-                s = rem.get(mm, Fraction(0)) - qc * c
+                s = rem.get(mm, 0) - qc * c
                 if s:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return ParamPoly(self.vars, {m: c for m, c in quot.items() if c})
+        return ParamPoly(self.vars, {m: _rational(c) for m, c in quot.items() if c})
 
     # -- rendering ---------------------------------------------------------
 
@@ -312,13 +327,13 @@ def parse_param_poly(text: str, vars: frozenset = frozenset()) -> ParamPoly:
     terms: dict = {}
     names = set()
     for piece in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
-        sign = Fraction(1)
+        sign = 1
         if piece.startswith("+"):
             piece = piece[1:]
         elif piece.startswith("-"):
-            sign = Fraction(-1)
+            sign = -1
             piece = piece[1:]
-        coeff = Fraction(1)
+        coeff = 1
         mono = []
         for factor in piece.split("*"):
             if re.fullmatch(r"\d+(/\d+)?", factor):
@@ -330,9 +345,9 @@ def parse_param_poly(text: str, vars: frozenset = frozenset()) -> ParamPoly:
                 mono.append((m.group(1), int(m.group(2) or 1)))
                 names.add(m.group(1))
         key = _mono_normal(mono)
-        c = terms.get(key, Fraction(0)) + sign * coeff
+        c = terms.get(key, 0) + sign * coeff
         if c:
-            terms[key] = c
+            terms[key] = _rational(c)
         else:
             terms.pop(key, None)
     return ParamPoly(vars | frozenset(names), terms)

@@ -124,27 +124,28 @@ def check_automorphism(which: str, dim: int, levels: int, eps=None) -> Report:
     with timer(report):
         theta = _theta_fn(which, eps)
         syms = la.basis_symbols(dim, levels)
+        units = [la.unit(dim, s) for s in syms]
+        images = [theta(u) for u in units]
         bad = None
-        for s in syms:
-            u = la.unit(dim, s)
-            if not (theta(theta(u)) - u).is_zero():
+        for s, u, t in zip(syms, units, images):
+            if not (theta(t) - u).is_zero():
                 bad = la.LoopElement.symbol_str(s)
                 break
         report.add("involution", bad is None, bad and f"theta^2 != id at {bad}")
+        # theta is linear and la.bracket antisymmetric, so the residual of
+        # (b, a) is minus that of (a, b) and the diagonal's is 0: the first
+        # failing ordered pair has a < b, and only those pairs are visited
         bad = None
-        for sa in syms:
+        for a in range(len(syms)):
             if bad:
                 break
-            ua = la.unit(dim, sa)
-            ta = theta(ua)
-            for sb in syms:
-                ub = la.unit(dim, sb)
-                lhs = theta(la.bracket(ua, ub))
-                rhs = la.bracket(ta, theta(ub))
+            for b in range(a + 1, len(syms)):
+                lhs = theta(la.bracket(units[a], units[b]))
+                rhs = la.bracket(images[a], images[b])
                 if not (lhs - rhs).is_zero():
                     bad = (
-                        f"pair ({la.LoopElement.symbol_str(sa)}, "
-                        f"{la.LoopElement.symbol_str(sb)}) residual {lhs - rhs}"
+                        f"pair ({la.LoopElement.symbol_str(syms[a])}, "
+                        f"{la.LoopElement.symbol_str(syms[b])}) residual {lhs - rhs}"
                     )
                     break
         report.add("bracket-morphism", bad is None, bad)
@@ -165,7 +166,7 @@ def theta1_matrix_image(t_opposite: GeneratorMatrix) -> GeneratorMatrix:
     dim = t_opposite.dim
     sigma = parity_sign(dim)
     sub = t_opposite.shift_scale(
-        lambda e: -e, lambda e: Fraction(sigma) ** (e % 2)
+        lambda e: -e, lambda e: sigma ** (e % 2)
     )
     sub = sub.transpose()
     signs = u_signs(dim)

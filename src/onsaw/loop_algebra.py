@@ -102,7 +102,7 @@ def inject(dim: int, i: int, j: int, n: int) -> LoopElement:
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError(f"index out of range for N={dim}: ({i},{j})")
     out = zero(dim)
-    _add_e(out, i, j, n, Fraction(1))
+    _add_e(out, i, j, n, 1)
     return out
 
 
@@ -124,12 +124,12 @@ def _bracket_ee(out: LoopElement, i, j, m, k, l, n, coeff) -> None:
 
 
 def _as_e_terms(dim: int, sym):
-    """Expand a basis symbol into (i, j, level, Fraction) e-generator terms."""
+    """Expand a basis symbol into (i, j, level, int) e-generator terms."""
     tag = sym[0]
     if tag == "e":
-        return ((sym[1], sym[2], sym[3], Fraction(1)),)
+        return ((sym[1], sym[2], sym[3], 1),)
     i, n = sym[1], sym[2]
-    return ((i, i, n, Fraction(1)), (i + 1, i + 1, n, Fraction(-1)))
+    return ((i, i, n, 1), (i + 1, i + 1, n, -1))
 
 
 # (N, shape_a, shape_b) -> (((symbol template, rational), ...), central

@@ -53,7 +53,7 @@ def canonicalize_B(dim: int, i: int, j: int, n: int) -> OnsagerElement:
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise ValueError(f"index out of range for N={dim}: ({i},{j})")
     out = zero(dim)
-    _acc_raw(out, i, j, n, Fraction(1))
+    _acc_raw(out, i, j, n, 1)
     return out
 
 
@@ -147,6 +147,10 @@ def check_presentation_agreement(dim: int, levels: int) -> Report:
         for sa in syms:
             if bad:
                 break
+            # every ordered pair, unlike frt.check_automorphism: here
+            # bracket_abstract is the map under test and its defining formula
+            # is not antisymmetric by construction, so the (b, a) pairs are
+            # what certify its antisymmetry against the oracle
             for sb in syms:
                 lhs = embed(bracket_abstract(units[sa], units[sb]))
                 rhs = la.bracket(embeds[sa], embeds[sb])

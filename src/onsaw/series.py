@@ -32,9 +32,6 @@ class GeneratorMatrix:
         m = self.coeffs.get(exp)
         return None if m is None else m[i - 1][j - 1]
 
-    def exponents(self):
-        return sorted(self.coeffs)
-
     def map_entries(self, fn) -> "GeneratorMatrix":
         out = {}
         for e, m in self.coeffs.items():

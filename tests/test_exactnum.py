@@ -58,6 +58,12 @@ def laurents(draw, names=("x", "y")):
     return p
 
 
+def assert_stored_form(p):
+    """Each stored coefficient is an int, or a Fraction that is not one."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 @settings(max_examples=60)
 @given(param_polys(), param_polys(), param_polys())
 def test_param_poly_ring_axioms(a, b, c):
@@ -66,6 +72,50 @@ def test_param_poly_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    for p in (a, a + b, a - b, a * b, a * c + b * c, -a):
+        assert_stored_form(p)
+
+
+@settings(max_examples=60)
+@given(param_polys(), param_polys(), fractions())
+def test_param_poly_stored_form(a, b, q):
+    assert_stored_form(ParamPoly.const(q))
+    assert_stored_form(ParamPoly.const(q, frozenset({"alpha"})) * a)
+    assert_stored_form(a * q)
+    assert_stored_form(parse_param_poly(str(a)))
+    if q:
+        assert_stored_form(a.exact_div(ParamPoly.const(q)))
+    if not b.is_zero():
+        assert_stored_form((a * b).exact_div(b))
+
+
+def test_division_sites_keep_exact_rationals():
+    from onsaw import onsager as on
+    from onsaw.charges import proportionality
+
+    half = ParamPoly.const(3).exact_div(ParamPoly.const(2))
+    assert half.terms == {(): Fraction(3, 2)}
+    assert type(half.terms[()]) is Fraction
+    q = laurent_exact_div((X * X - ONE) * 2, X - ONE)
+    assert q == X * 2 + ONE * 2
+    assert all(type(c) is int for p in q.terms.values() for c in p.terms.values())
+    sym = ("B0", 1, 2)
+    a = on.OnsagerElement(3, {sym: ParamPoly.const(1)})
+    b = on.OnsagerElement(3, {sym: ParamPoly.const(2)})
+    r = proportionality(a, b)
+    assert r == Fraction(1, 2) and type(r) is Fraction
+
+
+def test_const_rejects_float():
+    from onsaw.symcomb import SymbolCombination
+
+    with pytest.raises(TypeError):
+        ParamPoly.const(0.5)
+    with pytest.raises(TypeError):
+        SymbolCombination(2).add_term(("s",), 0.5)
+    assert ParamPoly.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(ParamPoly.const(Fraction(4, 2)).terms[()]) is int
+    assert type(ParamPoly.const(True).terms[()]) is int
 
 
 @settings(max_examples=60)

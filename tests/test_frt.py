@@ -161,3 +161,32 @@ def test_frt_central_term_negative_control():
 def test_frt_window_guard():
     with pytest.raises(ValueError):
         frt.frt_relation_mismatch(2, 1, 1, -1)
+
+
+def _planted(theta, s0, delta):
+    """theta plus the linear fault x -> coeff_of(s0)(x) * delta."""
+    def bad(el, *args):
+        out = theta(el, *args)
+        c = el.coeffs.get(s0)
+        return out if c is None else out + delta.scale(c)
+    return bad
+
+
+def test_automorphism_negative_control_theta1(monkeypatch):
+    fault = _planted(frt.apply_theta1, la.off(1, 2, 1), la.unit(3, la.off(1, 3, 0)))
+    monkeypatch.setattr(frt, "apply_theta1", fault)
+    report = frt.check_automorphism("theta1", 3, 2)
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        ("involution", "fail", "theta^2 != id at e[2,1]^(-1)"),
+        ("bracket-morphism", "fail", "pair (e[1,2]^(-2), e[1,2]^(1)) residual -e[2,3]^(2)"),
+    ]
+
+
+def test_automorphism_negative_control_theta2_symbolic(monkeypatch):
+    fault = _planted(frt.apply_theta2, la.off(3, 4, 0), la.unit(4, la.cartan(1, -1)))
+    monkeypatch.setattr(frt, "apply_theta2", fault)
+    report = frt.check_automorphism("theta2", 4, 2)
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        ("involution", "fail", "theta^2 != id at e[2,1]^(0)"),
+        ("bracket-morphism", "fail", "pair (e[1,3]^(-2), e[3,4]^(0)) residual -eps*e[1,3]^(2)"),
+    ]
