@@ -6,6 +6,12 @@ sparse vector index -> ParamPoly, so parameters such as alpha enter only
 there and are carried along by rational scaling.  Every pivot row is
 normalised to pivot 1, so back-substitution divides by nothing and each
 solution component is a ParamPoly.  No gcd is taken anywhere.
+
+A row equal to one already spanned (it became a pivot or reduced to zero)
+is skipped: pivot rows never change once inserted, so a second copy takes
+the same reduction path to the same end.  Rows are keyed exactly, not by
+hash alone; an inconsistent row is not remembered, so each copy is
+reported.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ class SparseEliminator:
     def __init__(self):
         self.pivots: dict = {}  # col -> (coeffs of the later columns, rhs); pivot 1
         self.inconsistent: list = []
+        self.spanned: set = set()  # exact keys of rows that left no residual
 
     def add_row(self, coeffs: dict, rhs: dict) -> None:
         for v in coeffs.values():
@@ -62,6 +69,11 @@ class SparseEliminator:
                 raise TypeError(f"coefficient {v} is not rational")
         coeffs = {k: v for k, v in coeffs.items() if v}
         rhs = {k: p for k, p in rhs.items() if not p.is_zero()}
+        # sorted tuples, not frozensets: the same exact key in half the memory
+        key = (tuple(sorted(coeffs.items())),
+               tuple(sorted((k, tuple(sorted(p.terms.items()))) for k, p in rhs.items())))
+        if key in self.spanned:
+            return
         while coeffs:
             col = min(coeffs)
             piv = self.pivots.get(col)
@@ -72,18 +84,22 @@ class SparseEliminator:
                     coeffs = {k: v * inv for k, v in coeffs.items()}
                     rhs = {k: p * inv for k, p in rhs.items()}
                 self.pivots[col] = (coeffs, rhs)
+                self.spanned.add(key)
                 return
             b = coeffs.pop(col)
             _sub_rational(coeffs, b, piv[0])
             _sub_poly(rhs, b, piv[1])
         if rhs:
             self.inconsistent.append(rhs)
+        else:
+            self.spanned.add(key)
 
     def rank(self) -> int:
         return len(self.pivots)
 
     def solve(self, all_cols) -> EliminationResult:
         """Back-substitute; each solution component is a ParamPoly."""
+        self.spanned.clear()  # the keys serve add_row only; free them
         free = {c for c in all_cols if c not in self.pivots}
         sols: dict = {}
         entangled = []

@@ -7,8 +7,8 @@ generator matrices living on different legs; its entries are maps
 (x-exponent, y-exponent) -> element.
 
 Both containers are agnostic about the element type: anything with
-__add__, __sub__, .scale(ParamPoly) and .is_zero() works (LoopElement
-and OnsagerElement both do).
+__add__, __sub__, unary minus, .scale(ParamPoly) and .is_zero() works
+(LoopElement and OnsagerElement both do).
 """
 
 from __future__ import annotations
@@ -218,7 +218,19 @@ class BiSeries:
         )
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
+        out = BiSeries(self.dim, {k: dict(v) for k, v in self.data.items()})
+        for key, ser in other.data.items():
+            for exps, elem in ser.items():
+                dst = out.data.setdefault(key, {})
+                cur = dst.get(exps)
+                s = -elem if cur is None else cur - elem
+                if s.is_zero():
+                    dst.pop(exps, None)
+                    if not dst:
+                        del out.data[key]
+                else:
+                    dst[exps] = s
+        return out
 
     def convolve(self, lau: SpectralLaurent, xv: str, yv: str) -> "BiSeries":
         """Multiply every entry by a scalar Laurent polynomial in (x, y)."""

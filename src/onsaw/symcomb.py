@@ -49,7 +49,18 @@ class SymbolCombination:
         return type(self)(self.dim, {s: -c for s, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.coeffs)
+        for sym, c in other.coeffs.items():
+            if sym in out:
+                s = out[sym] - c
+                if s.is_zero():
+                    del out[sym]
+                else:
+                    out[sym] = s
+            else:
+                out[sym] = -c
+        return type(self)(self.dim, out)
 
     def scale(self, factor):
         """Multiply by an int, a Fraction or a ParamPoly."""

@@ -250,6 +250,14 @@ def test_ansatz_word_counts():
     assert len(aw.ansatz_words(5)) == 24
 
 
+@pytest.mark.parametrize("rank, rows, unknowns", [(3, 684, 28), (4, 2416, 105), (5, 6260, 276)])
+def test_extraction_system_shape(rank, rows, unknowns):
+    # the row count is every row of the system, repeated rows included
+    _, rep = aw.extract_structure_constants(rank)
+    want = f"system: {rows} rows, {unknowns} bracket unknowns, rank {unknowns}"
+    assert rep.checks[0].name == want
+
+
 def test_extraction_rank3_matches():
     tbl, rep = aw.extract_structure_constants(3)
     assert rep.ok(), [c.detail for c in rep.failures()]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from onsaw import askey_wilson as aw
 from onsaw import cli
 
 
@@ -32,6 +33,17 @@ def test_verify_aw(capsys):
     code, out = run_cli(["verify", "aw", "--n", "3"], capsys)
     assert code == 0
     assert "0 failed" in out
+
+
+def test_extract_aw_n6_certificate(tmp_path, capsys):
+    # extraction, Jacobi and the reflection re-certification at N=6, and a
+    # byte-exact JSON round trip of the written table
+    path = tmp_path / "t6.json"
+    code, out = run_cli(["extract", "aw", "--n", "6", "--out", str(path)], capsys)
+    assert code == 0, out
+    text = path.read_text()
+    back = aw.import_table(json.loads(text))
+    assert json.dumps(aw.export_table(back), indent=1) + "\n" == text
 
 
 def test_verify_automorphism_epsilon(capsys):

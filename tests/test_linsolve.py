@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onsaw import linsolve
 from onsaw.exactnum import ParamPoly
 from onsaw.linsolve import SparseEliminator, matrix_rank
 
@@ -41,10 +42,11 @@ def test_parametric_solve():
 
 
 def test_parametric_coefficient_raises():
-    # alpha enters only on the right-hand side; in a coefficient it is an error
-    with pytest.raises(TypeError):
+    # alpha enters only on the right-hand side; in a coefficient it is an
+    # error, raised before the row is keyed (a ParamPoly is unhashable)
+    with pytest.raises(TypeError, match="^coefficient alpha is not rational$"):
         SparseEliminator().add_row({0: A}, {0: A * A})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^coefficient 1 is not rational$"):
         SparseEliminator().add_row({0: ONE}, {})
 
 
@@ -62,6 +64,29 @@ def test_inconsistent_detected():
     elim.add_row({0: 2}, {0: A * 2 + 1})
     assert elim.rank() == 1
     assert elim.inconsistent == [{0: ONE}]
+
+
+def test_inconsistent_copies_each_reported():
+    elim = SparseEliminator()
+    elim.add_row({0: 1}, {0: A})
+    elim.add_row({0: 2}, {0: A * 2 + 1})
+    elim.add_row({0: 2}, {0: A * 2 + 1})
+    assert elim.inconsistent == [{0: ONE}, {0: ONE}]
+
+
+def test_spanned_row_is_skipped(monkeypatch):
+    elim = SparseEliminator()
+    elim.add_row({0: 1, 1: 1}, {0: ONE})
+    elim.add_row({0: 1, 1: -1}, {1: ONE})
+    elim.add_row({0: 2, 1: 2}, {0: c(2)})  # reduces to zero
+    calls = []
+    monkeypatch.setattr(linsolve, "_sub_rational",
+                        lambda *args: calls.append(args))
+    # the same rows again, zero coefficients and entries included
+    elim.add_row({1: -1, 0: 1, 2: 0}, {1: ONE, 0: ParamPoly.zero()})
+    elim.add_row({0: Fraction(2), 1: 2}, {0: c(2)})
+    assert not calls
+    assert elim.rank() == 2 and not elim.inconsistent
 
 
 def test_free_columns_reported():
@@ -153,3 +178,22 @@ def test_random_invertible_systems_solve_exactly(n, seed):
             for j, v in row.items():
                 lhs = lhs + res.solutions[j].get(k, ParamPoly.zero()) * v
             assert lhs == b[k]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_rows_fed_twice_solve_as_once(n, seed):
+    rng = random.Random(seed)
+    rows = _random_invertible(rng, n)
+    rhs = [{k: A * rng.randint(-4, 4) + rng.randint(-5, 5) for k in range(2)}
+           for _ in range(n)]
+    once, twice = SparseEliminator(), SparseEliminator()
+    for row, b in zip(rows, rhs):
+        once.add_row(row, b)
+    # each row, then the one before it again: 0, 1, 0, 2, 1, ..., n-1
+    order = [k for i in range(n) for k in (i, i - 1) if k >= 0] + [n - 1]
+    for k in order:
+        twice.add_row(rows[k], rhs[k])
+    assert twice.pivots == once.pivots
+    assert twice.rank() == once.rank() == n
+    assert twice.solve(range(n)).solutions == once.solve(range(n)).solutions
