@@ -648,11 +648,6 @@ def _words_of(entries: dict) -> list:
     return sorted(seen, key=lambda w: (len(w.letters), w.letters))
 
 
-def ansatz_words(rank: int) -> list:
-    """Distinct words of the ansatz in a deterministic order."""
-    return _words_of(build_B_general(rank))
-
-
 def extract_structure_constants(rank: int):
     """Solve the reflection relation for all brackets of the ansatz words.
 

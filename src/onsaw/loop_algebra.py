@@ -54,15 +54,6 @@ class LoopElement(SymbolCombination):
             return f"e[{sym[1]},{sym[2]}]^({sym[3]})"
         return f"h[{sym[1]}]^({sym[2]})"
 
-    def level_support(self) -> set:
-        out = set()
-        for sym in self.coeffs:
-            if sym == CENTRAL:
-                out.add(0)
-            else:
-                out.add(sym[-1])
-        return out
-
 
 def zero(dim: int) -> LoopElement:
     return LoopElement(dim, {})

@@ -23,7 +23,8 @@ from .exactnum import SpectralLaurent
 from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail, shift_bound
+from .series import (BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail, shift_bound,
+                     window_reach)
 from .symcomb import SymbolCombination
 
 
@@ -319,11 +320,16 @@ def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):
     window = cutoff - shift_bound(multipliers, ("x", "y"))
     if window < 0:
         raise ValueError("cutoff too small: empty comparison window")
-    lhs = BiSeries.bracket_cross(b, b, bracket_abstract).convolve(clearing, "x", "y")
-    b1 = BiSeries.from_leg(b, 1, 0)
-    b2 = BiSeries.from_leg(b, 2, 1)
+    # B_1 lives in x and B_2 in y; exponents no multiplier shifts into the
+    # window only reach cells that are never compared
+    bx = b.restricted(*window_reach(multipliers, "x", window))
+    by = b.restricted(*window_reach(multipliers, "y", window))
+    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, "x", "y", window)
+    b1 = BiSeries.from_leg(bx, 1, 0)
+    b2 = BiSeries.from_leg(by, 2, 1)
     # [r21, B1] = -[B1, r21];  [B2, r12]
-    rhs = (-b1.commutator_scalar(r21c, "x", "y")) + b2.commutator_scalar(r12c, "x", "y")
+    rhs = (-b1.commutator_scalar(r21c, "x", "y", window)) \
+        + b2.commutator_scalar(r12c, "x", "y", window)
     return lhs.first_mismatch(rhs, window), window
 
 
@@ -357,11 +363,15 @@ def current_modes(dim: int, i: int, j: int, cutoff: int) -> dict:
     return {n: canonicalize_B(dim, i, j, n).scale(2) for n in range(start, cutoff + 1)}
 
 
-def _series_convolve(series: dict, slot: int, scal: SpectralLaurent, out: dict) -> None:
-    """Accumulate series (in slot 0=x, 1=y) times a scalar (x,y)-polynomial."""
+def _series_convolve(series: dict, slot: int, scal: SpectralLaurent, out: dict,
+                     window: int) -> None:
+    """Accumulate series (in slot 0=x, 1=y) times a scalar (x,y)-polynomial,
+    forming only the products that land in max(|a|, |b|) <= window."""
     for ex, ey, coeff in laurent_xy_terms(scal, "x", "y"):
         for n, elem in series.items():
             key = (n + ex, ey) if slot == 0 else (ex, n + ey)
+            if max(abs(key[0]), abs(key[1])) > window:
+                continue
             cur = out.get(key)
             v = elem.scale(coeff)
             s = v if cur is None else cur + v
@@ -379,18 +389,28 @@ def currents_mismatch(dim: int, cutoff: int):
     dxy = x - y
     dprod = x * y - SpectralLaurent.const(sigma)
     clearing = dxy * dprod
-    # the cleared kernels have the same per-variable degree as the clearing
-    window = cutoff - shift_bound([clearing], ("x", "y"))
-    cur = {
+    # every kernel below is dprod times x, y or their mean, or dxy times
+    # x*y, a constant or their mean, up to a constant factor
+    multipliers = [clearing, dprod * x, dprod * y, dxy * x * y, dxy]
+    window = cutoff - shift_bound(multipliers, ("x", "y"))
+    if window < 0:
+        raise ValueError("cutoff too small: empty comparison window")
+    # modes no multiplier shifts into the window only reach cells that are
+    # never compared
+    lo_x, hi_x = window_reach(multipliers, "x", window)
+    lo_y, hi_y = window_reach(multipliers, "y", window)
+    modes = {
         (i, j): current_modes(dim, i, j, cutoff)
         for i in range(1, dim + 1)
         for j in range(1, dim + 1)
     }
-    for (i, j) in sorted(cur):
-        for (k, l) in sorted(cur):
+    cur_x = {ij: {n: v for n, v in m.items() if lo_x <= n <= hi_x} for ij, m in modes.items()}
+    cur_y = {ij: {n: v for n, v in m.items() if lo_y <= n <= hi_y} for ij, m in modes.items()}
+    for (i, j) in sorted(modes):
+        for (k, l) in sorted(modes):
             lhs: dict = {}
-            for a, ea in cur[(i, j)].items():
-                for b, eb in cur[(k, l)].items():
+            for a, ea in cur_x[(i, j)].items():
+                for b, eb in cur_y[(k, l)].items():
                     br = bracket_abstract(ea, eb)
                     if not br.is_zero():
                         key = (a, b)
@@ -400,6 +420,8 @@ def currents_mismatch(dim: int, cutoff: int):
             for ex, ey, coeff in laurent_xy_terms(clearing, "x", "y"):
                 for (a, b), elem in lhs.items():
                     key = (a + ex, b + ey)
+                    if max(abs(key[0]), abs(key[1])) > window:
+                        continue
                     v = elem.scale(coeff)
                     curv = lhs_c.get(key)
                     s = v if curv is None else curv + v
@@ -412,19 +434,19 @@ def currents_mismatch(dim: int, cutoff: int):
             wx = x * _H(k - l) + y * _H(l - k)
             wy = y * _H(i - j) + x * _H(j - i)
             if j == k:
-                _series_convolve(cur[(i, l)], 0, dprod * wx * 2, rhs)
-                _series_convolve(cur[(i, l)], 1, dprod * wy * -2, rhs)
+                _series_convolve(cur_x[(i, l)], 0, dprod * wx * 2, rhs, window)
+                _series_convolve(cur_y[(i, l)], 1, dprod * wy * -2, rhs, window)
             if i == l:
-                _series_convolve(cur[(k, j)], 0, dprod * wx * -2, rhs)
-                _series_convolve(cur[(k, j)], 1, dprod * wy * 2, rhs)
+                _series_convolve(cur_x[(k, j)], 0, dprod * wx * -2, rhs, window)
+                _series_convolve(cur_y[(k, j)], 1, dprod * wy * 2, rhs, window)
             ux = (x * y * _H(l - k) + SpectralLaurent.const(sigma * _H(k - l))) * parity_sign(k + l)
             uy = (x * y * _H(j - i) + SpectralLaurent.const(sigma * _H(i - j))) * parity_sign(i + j)
             if i == k:
-                _series_convolve(cur[(l, j)], 0, dxy * ux * -2, rhs)
-                _series_convolve(cur[(j, l)], 1, dxy * uy * 2, rhs)
+                _series_convolve(cur_x[(l, j)], 0, dxy * ux * -2, rhs, window)
+                _series_convolve(cur_y[(j, l)], 1, dxy * uy * 2, rhs, window)
             if j == l:
-                _series_convolve(cur[(i, k)], 0, dxy * ux * 2, rhs)
-                _series_convolve(cur[(k, i)], 1, dxy * uy * -2, rhs)
+                _series_convolve(cur_x[(i, k)], 0, dxy * ux * 2, rhs, window)
+                _series_convolve(cur_y[(k, i)], 1, dxy * uy * -2, rhs, window)
 
             keys = set(lhs_c) | set(rhs)
             bad = []

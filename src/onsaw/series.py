@@ -32,6 +32,11 @@ class GeneratorMatrix:
         m = self.coeffs.get(exp)
         return None if m is None else m[i - 1][j - 1]
 
+    def restricted(self, lo: int, hi: int) -> "GeneratorMatrix":
+        """The coefficients at exponents lo..hi only (matrices are shared)."""
+        kept = {e: m for e, m in self.coeffs.items() if lo <= e <= hi}
+        return GeneratorMatrix(self.dim, self.cutoff, kept)
+
     def map_entries(self, fn) -> "GeneratorMatrix":
         out = {}
         for e, m in self.coeffs.items():
@@ -232,49 +237,53 @@ class BiSeries:
                     dst[exps] = s
         return out
 
-    def convolve(self, lau: SpectralLaurent, xv: str, yv: str) -> "BiSeries":
-        """Multiply every entry by a scalar Laurent polynomial in (x, y)."""
+    def convolve(self, lau: SpectralLaurent, xv: str, yv: str, window=None) -> "BiSeries":
+        """Multiply every entry by a scalar Laurent polynomial in (x, y).
+
+        With ``window`` set, a product landing outside max(|a|, |b|) <= window
+        is not formed.
+        """
         terms = laurent_xy_terms(lau, xv, yv)
         out = BiSeries(self.dim)
         for key, ser in self.data.items():
             for (a, b), elem in ser.items():
-                for ex, ey, coeff in terms:
+                for ex, ey, coeff in terms if window is None else _landing(terms, a, b, window):
                     out._acc(key, (a + ex, b + ey), elem.scale(coeff))
         return out
 
-    def mul_scalar(self, scal: dict, xv: str, yv: str, side: str) -> "BiSeries":
+    def mul_scalar(self, scal: dict, xv: str, yv: str, side: str, window=None) -> "BiSeries":
         """Matrix product with a scalar two-leg matrix on the given side.
 
         ``scal`` maps (row, col) composite indices to Laurent polynomials.
         side "right" computes self @ scal, side "left" computes scal @ self.
+        With ``window`` set, a product landing outside max(|a|, |b|) <= window
+        is not formed.
         """
-        out = BiSeries(self.dim)
-        flat = {(r, c): laurent_xy_terms(v, xv, yv) for (r, c), v in scal.items()}
-        if side == "right":
-            by_row: dict = {}
-            for (r, c), terms in flat.items():
-                by_row.setdefault(r, []).append((c, terms))
-            for (i, k), ser in self.data.items():
-                for c, terms in by_row.get(k, ()):  # k is self's column
-                    for (a, b), elem in ser.items():
-                        for ex, ey, coeff in terms:
-                            out._acc((i, c), (a + ex, b + ey), elem.scale(coeff))
-        elif side == "left":
-            by_col: dict = {}
-            for (r, c), terms in flat.items():
-                by_col.setdefault(c, []).append((r, terms))
-            for (k, j), ser in self.data.items():
-                for r, terms in by_col.get(k, ()):  # k is self's row
-                    for (a, b), elem in ser.items():
-                        for ex, ey, coeff in terms:
-                            out._acc((r, j), (a + ex, b + ey), elem.scale(coeff))
-        else:
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        right = side == "right"
+        # the multiplier terms meeting self's column (right) or row (left) k,
+        # each tagged with the other index of its product entry
+        meet: dict = {}
+        for (r, c), v in scal.items():
+            k, other = (r, c) if right else (c, r)
+            meet.setdefault(k, []).extend(
+                (ex, ey, coeff, other) for ex, ey, coeff in laurent_xy_terms(v, xv, yv))
+        out = BiSeries(self.dim)
+        for (i, j), ser in self.data.items():
+            met = meet.get(j if right else i)
+            if met is None:
+                continue
+            terms = [(ex, ey, coeff, (i, o) if right else (o, j)) for ex, ey, coeff, o in met]
+            for (a, b), elem in ser.items():
+                for ex, ey, coeff, key in terms if window is None else _landing(terms, a, b, window):
+                    out._acc(key, (a + ex, b + ey), elem.scale(coeff))
         return out
 
-    def commutator_scalar(self, scal: dict, xv: str, yv: str) -> "BiSeries":
+    def commutator_scalar(self, scal: dict, xv: str, yv: str, window=None) -> "BiSeries":
         """[self, scal] = self @ scal - scal @ self."""
-        return self.mul_scalar(scal, xv, yv, "right") - self.mul_scalar(scal, xv, yv, "left")
+        return (self.mul_scalar(scal, xv, yv, "right", window)
+                - self.mul_scalar(scal, xv, yv, "left", window))
 
     # -- comparison ---------------------------------------------------------
 
@@ -309,6 +318,12 @@ class BiSeries:
         return (a, b, self.digits(key[0]), self.digits(key[1]), diff)
 
 
+def _landing(terms, a, b, window) -> list:
+    """The multiplier terms (ex, ey, ...) that shift cell (a, b) into
+    max(|a + ex|, |b + ey|) <= window."""
+    return [t for t in terms if -window <= a + t[0] <= window and -window <= b + t[1] <= window]
+
+
 def shift_bound(laurents, names) -> int:
     """Worst per-variable exponent magnitude over a family of multipliers."""
     bound = 0
@@ -316,6 +331,13 @@ def shift_bound(laurents, names) -> int:
         for v in names:
             bound = max(bound, p.degree(v), -p.min_degree(v))
     return bound
+
+
+def window_reach(laurents, var: str, window: int) -> tuple:
+    """Exponents of ``var`` in a series that some multiplier term shifts
+    into |e| <= window: [-window - max shift, window - min shift]."""
+    shifts = [dict(m).get(var, 0) for p in laurents for m in p.terms]
+    return -window - max(shifts), window - min(shifts)
 
 
 def mismatch_detail(mism) -> str:

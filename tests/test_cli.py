@@ -68,6 +68,13 @@ def test_bad_window_is_validation_error(capsys):
     assert "window" in err
 
 
+def test_currents_empty_window_is_validation_error(capsys):
+    code = cli.main(["verify", "currents", "--n", "3", "--cutoff", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "window" in err
+
+
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -4,7 +4,9 @@ import pytest
 
 from onsaw import frt
 from onsaw import loop_algebra as la
-from onsaw.rmatrix import parity_sign
+from onsaw.exactnum import SpectralLaurent
+from onsaw.rmatrix import build_r, parity_sign
+from onsaw.series import BiSeries, shift_bound
 
 
 def test_T_plus_entries():
@@ -156,6 +158,63 @@ def test_frt_central_term_negative_control():
     # the surviving residual is the central derivative term
     assert la.CENTRAL in diff.coeffs
     assert a + b == 2  # on the shifted diagonal of the cleared relation
+
+
+def _unpruned_frt_mismatch(dim, cutoff, sign_a, sign_b, include_central=True):
+    """The exchange relation with every exponent and product formed."""
+    ta = frt.build_T(sign_a, dim, cutoff)
+    tb = frt.build_T(sign_b, dim, cutoff)
+    x = SpectralLaurent.variable("x")
+    y = SpectralLaurent.variable("y")
+    mixed = sign_a != sign_b
+    clearing = (y - x) * (y - x) if mixed else (y - x)
+    r_clear = build_r(dim, "x", "y").cleared(clearing)
+    c_clear = frt._r_prime_term(dim).cleared(clearing) if mixed else {}
+    multipliers = [clearing] + list(r_clear.values()) + list(c_clear.values())
+    window = cutoff - shift_bound(multipliers, ("x", "y"))
+    lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, "x", "y")
+    tsum = BiSeries.from_leg(ta, 1, 0) + BiSeries.from_leg(tb, 2, 1)
+    rhs = tsum.commutator_scalar(r_clear, "x", "y")
+    if mixed and include_central:
+        rhs = rhs + BiSeries.from_scalar(dim, c_clear, "x", "y", la.central(dim))
+    return lhs.first_mismatch(rhs, window), window
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cutoff", [3, 6])
+def test_frt_pruning_matches_unpruned(dim, cutoff):
+    # exponents and products that cannot reach the window are skipped; the
+    # compared coefficients, and so verdict, window and locator, are unchanged
+    # (sign_a, sign_b, include_central, holds): the central term is signed
+    # for (+,-), so (-,+) fails with it as without it
+    cases = [(1, 1, True, True), (-1, -1, True, True), (1, -1, True, True),
+             (-1, 1, True, False), (1, -1, False, False), (-1, 1, False, False)]
+    for sa, sb, central, holds in cases:
+        got = frt.frt_relation_mismatch(dim, cutoff, sa, sb, include_central=central)
+        assert got == _unpruned_frt_mismatch(dim, cutoff, sa, sb, central), (sa, sb, central)
+        assert (got[0] is None) == holds, (sa, sb, central)
+
+
+def test_frt_fault_at_window_edge_is_caught(monkeypatch):
+    # T+ of the like-sign relation is kept up to exponent w; a fault planted
+    # there fails on the window boundary, and a product filter one too tight
+    # would drop it silently
+    dim, cutoff, top = 2, 6, 5
+    build_T = frt.build_T
+
+    def bad_T(sign, dim, cutoff):
+        t = build_T(sign, dim, cutoff)
+        if sign == 1:
+            t.coeffs[top][0][0] = t.coeffs[top][0][0] + la.central(dim)
+        return t
+
+    monkeypatch.setattr(frt, "build_T", bad_T)
+    mism, window = frt.frt_relation_mismatch(dim, cutoff, 1, 1)
+    assert window == top
+    assert mism is not None
+    assert max(abs(mism[0]), abs(mism[1])) == window
+    assert la.CENTRAL in mism[4].coeffs
+    assert (mism, window) == _unpruned_frt_mismatch(dim, cutoff, 1, 1)
 
 
 def test_frt_window_guard():

@@ -6,8 +6,10 @@ import pytest
 
 from onsaw import loop_algebra as la
 from onsaw import onsager as on
+from onsaw.exactnum import SpectralLaurent
 from onsaw.frt import apply_theta1
-from onsaw.rmatrix import build_r, parity_sign
+from onsaw.rmatrix import build_r, cleared_rbar_pair, parity_sign
+from onsaw.series import BiSeries, shift_bound
 
 
 def test_canonicalize_examples():
@@ -176,8 +178,6 @@ def test_reflection():
 
 def test_reflection_negative_control():
     # the unfolded r-matrix does not satisfy the reflection relation
-    from onsaw.exactnum import SpectralLaurent
-
     x = SpectralLaurent.variable("x")
     y = SpectralLaurent.variable("y")
     sigma = parity_sign(2)
@@ -186,6 +186,71 @@ def test_reflection_negative_control():
     r21 = build_r(2, "y", "x").embed_legs((2, 1), 2).cleared(clearing)
     mism, _ = on.reflection_mismatch(2, 6, r12=r12, r21=r21)
     assert mism is not None
+
+
+def _unpruned_reflection(dim, cutoff):
+    """The reflection relation with every exponent and product formed, as a
+    function of the cleared rbar_12 map (the true one when None)."""
+    clearing, r12_true, r21c = cleared_rbar_pair(dim)
+    b = on.build_B_matrix(dim, cutoff)
+    lhs = BiSeries.bracket_cross(b, b, on.bracket_abstract).convolve(clearing, "x", "y")
+    rhs21 = -BiSeries.from_leg(b, 1, 0).commutator_scalar(r21c, "x", "y")
+    b2 = BiSeries.from_leg(b, 2, 1)
+
+    def mismatch(r12=None):
+        r12c = r12_true if r12 is None else r12
+        multipliers = [clearing] + list(r12c.values()) + list(r21c.values())
+        window = cutoff - shift_bound(multipliers, ("x", "y"))
+        rhs = rhs21 + b2.commutator_scalar(r12c, "x", "y")
+        return lhs.first_mismatch(rhs, window), window
+
+    return mismatch
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+def test_reflection_pruning_matches_unpruned(dim, cutoff):
+    got = on.reflection_mismatch(dim, cutoff)
+    assert got[0] is None
+    assert got == _unpruned_reflection(dim, cutoff)()
+
+
+def test_reflection_pruning_matches_unpruned_planted():
+    # a monomial of degree at most 1 per variable planted at every cleared
+    # rbar_12 entry, as the benchmark's control does: the pruned check names
+    # the same first mismatch as the unpruned one
+    x = SpectralLaurent.variable("x")
+    y = SpectralLaurent.variable("y")
+    shapes = [SpectralLaurent.const(3), x * -2, y * 5, x * y]
+    _, r12, _ = cleared_rbar_pair(3)
+    reference = _unpruned_reflection(3, 6)
+    for n, key in enumerate(sorted(r12)):
+        bad = dict(r12)
+        bad[key] = bad[key] + shapes[n % len(shapes)]
+        got = on.reflection_mismatch(3, 6, r12=bad)
+        assert got[0] is not None, key
+        assert got == reference(bad), key
+
+
+def test_reflection_fault_at_window_edge_is_caught(monkeypatch):
+    # B(x) is kept up to exponent w on both legs; a fault planted there
+    # fails on the window boundary, and a product filter one too tight would
+    # drop it silently
+    dim, cutoff, top = 3, 6, 4
+    build = on.build_B_matrix
+    fault = on.canonicalize_B(dim, 1, 2, 1)
+
+    def bad_B(dim, cutoff):
+        b = build(dim, cutoff)
+        b.coeffs[top][0][0] = b.coeffs[top][0][0] + fault
+        return b
+
+    monkeypatch.setattr(on, "build_B_matrix", bad_B)
+    mism, window = on.reflection_mismatch(dim, cutoff)
+    assert window == top
+    assert mism is not None
+    assert max(abs(mism[0]), abs(mism[1])) == window
+    assert (mism, window) == _unpruned_reflection(dim, cutoff)()
 
 
 def test_reflection_tracelessness_negative_control(monkeypatch):
@@ -221,6 +286,28 @@ def test_currents_negative_control(monkeypatch):
         detail = rep.failures()[0].detail
         assert detail.startswith("currents (1, 1, 1, 2) monomial x^1 y^1 residual "), detail
         assert detail.endswith("4*B[1,2]^(1)"), detail
+
+
+def test_currents_fault_at_window_edge_is_caught(monkeypatch):
+    # the current modes are kept up to exponent w; a fault planted there
+    # fails on the window boundary, and a target filter one too tight would
+    # drop it silently
+    dim, cutoff, top = 2, 4, 2
+    modes = on.current_modes
+    fault = on.canonicalize_B(dim, 1, 2, 1)
+
+    def bad_modes(dim, i, j, cutoff):
+        out = modes(dim, i, j, cutoff)
+        if (i, j) == (1, 2):
+            out[top] = out[top] + fault
+        return out
+
+    monkeypatch.setattr(on, "current_modes", bad_modes)
+    mism, window = on.currents_mismatch(dim, cutoff)
+    assert window == top
+    assert mism is not None
+    _, a, b, _ = mism
+    assert max(a, b) == window
 
 
 def test_current_modes_constant_term_rule():
