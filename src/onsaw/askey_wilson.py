@@ -395,7 +395,7 @@ def aw_denominator(rank: int, v: str = "x") -> SpectralLaurent:
 
 def _num_matrix(rank: int, entries: dict, zero) -> GeneratorMatrix:
     """Numerators of B(x) over aw_denominator from {(i, j) -> {exp -> element}}."""
-    out = GeneratorMatrix(rank, 1)
+    out = GeneratorMatrix(rank)
     for e in (-1, 0, 1):
         mat = [[zero() for _ in range(rank)] for _ in range(rank)]
         seen = False

@@ -115,8 +115,6 @@ def dispatch(args) -> tuple:
             return rm.check_skew(args.n), None
         if suite == "automorphism":
             eps = _epsilon_arg(args.epsilon)
-            if args.which == "theta2" and args.n % 2:
-                raise SystemExit("theta2 requires even N")
             reports = [
                 frt.check_automorphism(args.which, args.n, args.levels, eps),
                 frt.check_theta_matrix_form(args.which, args.n, args.cutoff, eps),

@@ -10,12 +10,16 @@ Three layers, all exact and immutable:
   * ``SpectralLaurent`` -- sparse Laurent polynomials in spectral
     variables (x, y, x1, ...) with ParamPoly coefficients.
 
+Both polynomial types are their terms: a variable belongs to a
+polynomial when it occurs in one of its terms.
+
 No quotient is ever a value: every identity is multiplied through by a
 declared clearing polynomial, and a division is taken only where it is
 exact.  There is one long division, ``ParamPoly.exact_div``;
 ``laurent_exact_div`` shifts its operands into the polynomial cone,
-flattens spectral variables and parameters onto one alphabet and calls
-it.  No gcd is ever taken.  One ``term_str`` renders every signed term.
+flattens the spectral variables that occur and the parameters into one
+polynomial and calls it.  No gcd is ever taken.  One ``term_str``
+renders every signed term.
 
 The parameter ``eps`` is involutive: every monomial reduces eps-exponents
 mod 2, so an identity verified with symbolic eps holds for eps = +1 and
@@ -34,22 +38,11 @@ Monomial = tuple
 
 
 class AlphabetError(ValueError):
-    """Raised when a substitution names a variable its operand is not declared over."""
+    """Raised when a substitution names a variable that occurs in no term of its operand."""
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
-
-
-def _join_vars(a: frozenset, b: frozenset) -> frozenset:
-    # declared alphabets accumulate: the result is declared over both
-    if a == b:
-        return a
-    if not a:
-        return b
-    if not b:
-        return a
-    return a | b
 
 
 def _rational(q):
@@ -86,16 +79,15 @@ class ParamPoly:
 
     Every ``ParamPoly`` is built in this module, which keeps that form."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: frozenset, terms: dict):
-        self.vars = vars
+    def __init__(self, terms: dict):
         self.terms = terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value, vars: frozenset = frozenset()) -> "ParamPoly":
+    def const(cls, value) -> "ParamPoly":
         if type(value) is not int:
             if isinstance(value, Fraction):
                 value = _rational(value)
@@ -104,19 +96,19 @@ class ParamPoly:
             else:
                 raise TypeError(
                     f"a coefficient is an int or a Fraction, not {type(value).__name__}")
-        return cls(vars, {(): value} if value else {})
+        return cls({(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
-        return cls(frozenset({name}), {((name, 1),): 1})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def zero(cls) -> "ParamPoly":
-        return cls(frozenset(), {})
+        return cls({})
 
     @classmethod
     def one(cls) -> "ParamPoly":
-        return cls(frozenset(), {(): 1})
+        return cls({(): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -147,7 +139,6 @@ class ParamPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars_ = _join_vars(self.vars, other.vars)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
@@ -159,12 +150,12 @@ class ParamPoly:
                 terms[m] = _rational(s)
             else:
                 del terms[m]
-        return ParamPoly(vars_, terms)
+        return ParamPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.vars, {m: -c for m, c in self.terms.items()})
+        return ParamPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -181,34 +172,32 @@ class ParamPoly:
                 terms[m] = _rational(s)
             else:
                 del terms[m]
-        return ParamPoly(_join_vars(self.vars, other.vars), terms)
+        return ParamPoly(terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, q, vars_: frozenset) -> "ParamPoly":
-        """self * q for a rational scalar q, declared over vars_."""
+    def _scaled(self, q) -> "ParamPoly":
+        """self * q for a rational scalar q."""
         if not q:
-            return ParamPoly(vars_, {})
+            return ParamPoly({})
         q = _rational(q)
         if q == 1:
-            return ParamPoly(vars_, dict(self.terms))
+            return ParamPoly(dict(self.terms))
         if q == -1:
-            return ParamPoly(vars_, {m: -c for m, c in self.terms.items()})
-        return ParamPoly(vars_, {m: _rational(c * q) for m, c in self.terms.items()})
+            return ParamPoly({m: -c for m, c in self.terms.items()})
+        return ParamPoly({m: _rational(c * q) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        # constant operands scale the terms directly; the alphabet joins as
-        # it would for the general product
+        # constant operands scale the terms directly
         if isinstance(other, ParamPoly):
             ot = other.terms
             if len(ot) == 1 and () in ot:
-                return self._scaled(ot[()], _join_vars(self.vars, other.vars))
+                return self._scaled(ot[()])
         elif isinstance(other, (int, Fraction)):
-            return self._scaled(other, self.vars)
+            return self._scaled(other)
         else:
             return NotImplemented
-        vars_ = _join_vars(self.vars, other.vars)
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -218,14 +207,14 @@ class ParamPoly:
                     terms[m] = _rational(s)
                 else:
                     terms.pop(m, None)
-        return ParamPoly(vars_, terms)
+        return ParamPoly(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = ParamPoly.const(1, self.vars)
+        out = ParamPoly.one()
         base = self
         while k:
             if k & 1:
@@ -248,8 +237,7 @@ class ParamPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if den.is_const():
             q = den.terms[()]
-            return ParamPoly(self.vars, {m: _rational(Fraction(c) / q)
-                                         for m, c in self.terms.items()})
+            return ParamPoly({m: _rational(Fraction(c) / q) for m, c in self.terms.items()})
         allvars = sorted({n for m in self.terms for n, _ in m}
                          | {n for m in den.terms for n, _ in m})
 
@@ -282,7 +270,7 @@ class ParamPoly:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return ParamPoly(self.vars, {m: _rational(c) for m, c in quot.items() if c})
+        return ParamPoly({m: _rational(c) for m, c in quot.items() if c})
 
     # -- rendering ---------------------------------------------------------
 
@@ -317,15 +305,14 @@ def render_terms(terms: dict) -> str:
     return "".join(chunks)
 
 
-def parse_param_poly(text: str, vars: frozenset = frozenset()) -> ParamPoly:
+def parse_param_poly(text: str) -> ParamPoly:
     """Parse the canonical rendering produced by ``ParamPoly.__str__``."""
     text = text.strip()
     if text == "0":
-        return ParamPoly(vars, {})
+        return ParamPoly({})
     import re
 
     terms: dict = {}
-    names = set()
     for piece in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
         sign = 1
         if piece.startswith("+"):
@@ -343,57 +330,59 @@ def parse_param_poly(text: str, vars: frozenset = frozenset()) -> ParamPoly:
                 if not m:
                     raise ValueError(f"cannot parse term factor {factor!r}")
                 mono.append((m.group(1), int(m.group(2) or 1)))
-                names.add(m.group(1))
         key = _mono_normal(mono)
         c = terms.get(key, 0) + sign * coeff
         if c:
             terms[key] = _rational(c)
         else:
             terms.pop(key, None)
-    return ParamPoly(vars | frozenset(names), terms)
+    return ParamPoly(terms)
 
 
 class SpectralLaurent:
     """Sparse Laurent polynomial in spectral variables over ParamPoly."""
 
-    __slots__ = ("svars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, svars: frozenset, terms: dict):
-        self.svars = svars
+    def __init__(self, terms: dict):
         self.terms = terms  # Monomial (int exponents, any sign) -> ParamPoly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value, svars: frozenset = frozenset()) -> "SpectralLaurent":
+    def const(cls, value) -> "SpectralLaurent":
         if isinstance(value, ParamPoly):
             p = value
         else:
             p = ParamPoly.const(value)
-        return cls(svars, {(): p} if not p.is_zero() else {})
+        return cls({(): p} if not p.is_zero() else {})
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> "SpectralLaurent":
         if exp == 0:
-            return cls.const(1, frozenset({name}))
-        return cls(frozenset({name}), {((name, exp),): ParamPoly.one()})
+            return cls.const(1)
+        return cls({((name, exp),): ParamPoly.one()})
 
     @classmethod
     def monomial(cls, coeff, powers: dict) -> "SpectralLaurent":
         p = coeff if isinstance(coeff, ParamPoly) else ParamPoly.const(coeff)
         if p.is_zero():
-            return cls(frozenset(powers), {})
+            return cls({})
         key = tuple(sorted((n, e) for n, e in powers.items() if e))
-        return cls(frozenset(powers), {key: p})
+        return cls({key: p})
 
     @classmethod
     def zero(cls) -> "SpectralLaurent":
-        return cls(frozenset(), {})
+        return cls({})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def variables(self) -> frozenset:
+        """The spectral variables that occur in some term."""
+        return frozenset(name for m in self.terms for name, _ in m)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -409,7 +398,6 @@ class SpectralLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        svars = _join_vars(self.svars, other.svars)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             if m in terms:
@@ -420,12 +408,12 @@ class SpectralLaurent:
                     terms[m] = s
             else:
                 terms[m] = c
-        return SpectralLaurent(svars, terms)
+        return SpectralLaurent(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SpectralLaurent(self.svars, {m: -c for m, c in self.terms.items()})
+        return SpectralLaurent({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -442,7 +430,7 @@ class SpectralLaurent:
                 del terms[m]
             else:
                 terms[m] = s
-        return SpectralLaurent(_join_vars(self.svars, other.svars), terms)
+        return SpectralLaurent(terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -451,7 +439,6 @@ class SpectralLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        svars = _join_vars(self.svars, other.svars)
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -475,7 +462,7 @@ class SpectralLaurent:
                         terms[key] = s
                 elif not c.is_zero():
                     terms[key] = c
-        return SpectralLaurent(svars, terms)
+        return SpectralLaurent(terms)
 
     __rmul__ = __mul__
 
@@ -502,18 +489,18 @@ class SpectralLaurent:
             s = terms.get(key)
             val = c * e
             terms[key] = val if s is None else s + val
-        return SpectralLaurent(self.svars, {m: c for m, c in terms.items() if not c.is_zero()})
+        return SpectralLaurent({m: c for m, c in terms.items() if not c.is_zero()})
 
     def substitute(self, var: str, sign: int, powers: dict) -> "SpectralLaurent":
         """Map ``var -> sign * prod(name**e for name, e in powers)`` exactly.
 
         Only monomial images (with an overall sign) are supported.
         """
-        if var not in self.svars:
-            raise AlphabetError(f"variable {var!r} not declared in {sorted(self.svars)}")
+        occurring = self.variables()
+        if var not in occurring:
+            raise AlphabetError(f"variable {var!r} does not occur in {sorted(occurring)}")
         if sign not in (1, -1):
             raise ValueError("image sign must be +1 or -1")
-        svars = (self.svars - {var}) | frozenset(powers)
         terms: dict = {}
         for m, c in self.terms.items():
             d = dict(m)
@@ -536,7 +523,7 @@ class SpectralLaurent:
                     terms[key] = s
             else:
                 terms[key] = c
-        return SpectralLaurent(svars, terms)
+        return SpectralLaurent(terms)
 
     def degree(self, var: str) -> int:
         """Maximum exponent of ``var`` (0 for the zero polynomial)."""
@@ -559,10 +546,9 @@ class SpectralLaurent:
 
 
 def _flatten(p: SpectralLaurent, svars: frozenset) -> ParamPoly:
-    """``p`` shifted into the polynomial cone, as one polynomial over the
-    joint alphabet of spectral variables and parameters."""
+    """``p`` shifted into the polynomial cone in the spectral variables
+    ``svars``, as one polynomial in them and the parameters."""
     low = {v: p.min_degree(v) for v in svars}
-    pvars = frozenset()
     terms = {}
     for m, c in p.terms.items():
         d = dict(m)
@@ -571,22 +557,22 @@ def _flatten(p: SpectralLaurent, svars: frozenset) -> ParamPoly:
             if any(name in svars for name, _ in pm):
                 raise ValueError(f"a parameter of {c} is named like a spectral variable")
             terms[tuple(sorted(spec + list(pm)))] = q
-        pvars |= c.vars
-    return ParamPoly(svars | pvars, terms)
+    return ParamPoly(terms)
 
 
 def laurent_exact_div(num: SpectralLaurent, den: SpectralLaurent) -> SpectralLaurent:
     """Exact division in the Laurent ring (monomials are units).
 
-    Both operands are shifted into the polynomial cone and flattened onto
-    one alphabet, so the division itself is ``ParamPoly.exact_div``; the
+    Both operands are shifted into the polynomial cone in the spectral
+    variables that occur in either, and flattened into one polynomial with
+    the parameters, so the division itself is ``ParamPoly.exact_div``; the
     quotient is split back into spectral monomials and shifted back.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if num.is_zero():
-        return SpectralLaurent(num.svars, {})
-    svars = num.svars | den.svars
+        return SpectralLaurent({})
+    svars = num.variables() | den.variables()
     q = _flatten(num, svars).exact_div(_flatten(den, svars))
     back = {v: num.min_degree(v) - den.min_degree(v) for v in svars}
     split: dict = {}
@@ -600,5 +586,4 @@ def laurent_exact_div(num: SpectralLaurent, den: SpectralLaurent) -> SpectralLau
                 params.append((name, e))
         key = tuple(sorted((v, e) for v, e in spec.items() if e))
         split.setdefault(key, {})[tuple(params)] = c
-    pvars = q.vars - svars
-    return SpectralLaurent(svars, {k: ParamPoly(pvars, t) for k, t in split.items()})
+    return SpectralLaurent({k: ParamPoly(t) for k, t in split.items()})

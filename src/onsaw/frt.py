@@ -34,7 +34,7 @@ def build_T(sign: int, dim: int, cutoff: int) -> GeneratorMatrix:
         raise ValueError("need N >= 2 and D >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = GeneratorMatrix(dim, cutoff)
+    out = GeneratorMatrix(dim)
     z = [[la.zero(dim) for _ in range(dim)] for _ in range(dim)]
     m0 = [list(row) for row in z]
     for i in range(1, dim + 1):
@@ -182,7 +182,7 @@ def theta1_matrix_image(t_opposite: GeneratorMatrix) -> GeneratorMatrix:
             [m[i][j].scale(signs[i] * signs[j]) for j in range(dim)]
             for i in range(dim)
         ]
-    return GeneratorMatrix(dim, t_opposite.cutoff, out)
+    return GeneratorMatrix(dim, out)
 
 
 def _smat_mul(a: dict, b: dict, dim: int) -> dict:
@@ -207,7 +207,7 @@ def _smat_mul(a: dict, b: dict, dim: int) -> dict:
 
 def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
     dim = g.dim
-    out = GeneratorMatrix(dim, g.cutoff)
+    out = GeneratorMatrix(dim)
     for es, ms in s.items():
         for eg, mg in g.coeffs.items():
             e = es + eg
@@ -271,14 +271,14 @@ def theta2_matrix_image(t_opposite: GeneratorMatrix, sign: int, eps) -> Generato
     v, vinv, xvp_vinv = _v_matrices(dim, eps)
     img = _smat_on_gm(v, sub, "left")
     img = _smat_on_gm(vinv, img, "right")
-    cterm = GeneratorMatrix(dim, t_opposite.cutoff)
+    cterm = GeneratorMatrix(dim)
     for e, m in xvp_vinv.items():
         cterm.coeffs[e] = [
             [la.central(dim, c).scale(-sign) if not c.is_zero() else la.zero(dim) for c in row]
             for row in m
         ]
     img = img + cterm
-    out = GeneratorMatrix(dim, t_opposite.cutoff)
+    out = GeneratorMatrix(dim)
     for e, m in img.coeffs.items():
         if all(v.is_zero() for row in m for v in row):
             continue

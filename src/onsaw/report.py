@@ -12,7 +12,7 @@ SCHEMA_VERSION = 1
 @dataclass
 class Check:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     detail: str | None = None
 
     def as_dict(self) -> dict:
@@ -63,7 +63,7 @@ class Report:
         if self.params:
             lines.append("  " + " ".join(f"{k}={v}" for k, v in self.params.items()))
         for c in self.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
+            mark = {"pass": "PASS", "fail": "FAIL"}[c.status]
             line = f"{mark}  {c.name}"
             if c.detail:
                 line += f"  [{c.detail}]"

@@ -22,8 +22,8 @@ from .exactnum import SpectralLaurent, laurent_exact_div
 from .report import Check, Report, mono_str, timer
 
 
-def _sl(value, svars=frozenset()) -> SpectralLaurent:
-    return SpectralLaurent.const(value, svars)
+def _sl(value) -> SpectralLaurent:
+    return SpectralLaurent.const(value)
 
 
 def var(name: str, exp: int = 1) -> SpectralLaurent:
@@ -275,7 +275,7 @@ class TensorOperator:
 
     def substitute(self, var_name: str, sign: int, powers: dict) -> "TensorOperator":
         def sub(p: SpectralLaurent) -> SpectralLaurent:
-            return p.substitute(var_name, sign, powers) if var_name in p.svars else p
+            return p.substitute(var_name, sign, powers) if var_name in p.variables() else p
 
         return TensorOperator(
             self.legs, self.dim,
@@ -341,7 +341,6 @@ def build_r(dim: int, xv: str = "x", yv: str = "y") -> TensorOperator:
     """
     if dim < 2:
         raise ValueError("need N >= 2")
-    svars = frozenset({xv, yv})
     x = var(xv)
     y = var(yv)
     op = TensorOperator(2, dim, y - x)

@@ -20,11 +20,10 @@ from .report import mono_str
 class GeneratorMatrix:
     """Map spectral exponent -> dense N x N matrix of Lie elements."""
 
-    __slots__ = ("dim", "cutoff", "coeffs")
+    __slots__ = ("dim", "coeffs")
 
-    def __init__(self, dim: int, cutoff: int, coeffs: dict | None = None):
+    def __init__(self, dim: int, coeffs: dict | None = None):
         self.dim = dim
-        self.cutoff = cutoff
         self.coeffs = coeffs if coeffs is not None else {}
 
     def entry(self, exp: int, i: int, j: int):
@@ -35,13 +34,13 @@ class GeneratorMatrix:
     def restricted(self, lo: int, hi: int) -> "GeneratorMatrix":
         """The coefficients at exponents lo..hi only (matrices are shared)."""
         kept = {e: m for e, m in self.coeffs.items() if lo <= e <= hi}
-        return GeneratorMatrix(self.dim, self.cutoff, kept)
+        return GeneratorMatrix(self.dim, kept)
 
     def map_entries(self, fn) -> "GeneratorMatrix":
         out = {}
         for e, m in self.coeffs.items():
             out[e] = [[fn(v) for v in row] for row in m]
-        return GeneratorMatrix(self.dim, self.cutoff, out)
+        return GeneratorMatrix(self.dim, out)
 
     def __add__(self, other: "GeneratorMatrix") -> "GeneratorMatrix":
         if self.dim != other.dim:
@@ -55,7 +54,7 @@ class GeneratorMatrix:
                         t[i][j] = t[i][j] + m[i][j]
             else:
                 out[e] = [list(row) for row in m]
-        return GeneratorMatrix(self.dim, max(self.cutoff, other.cutoff), out)
+        return GeneratorMatrix(self.dim, out)
 
     def shift_scale(self, fn_exp, fn_coeff=None) -> "GeneratorMatrix":
         """Remap exponents (and optionally scale coefficients per exponent)."""
@@ -67,13 +66,13 @@ class GeneratorMatrix:
                 s = fn_coeff(e)
                 mat = [[v.scale(s) for v in row] for row in m]
             out[ne] = [list(row) for row in mat]
-        return GeneratorMatrix(self.dim, self.cutoff, out)
+        return GeneratorMatrix(self.dim, out)
 
     def transpose(self) -> "GeneratorMatrix":
         out = {}
         for e, m in self.coeffs.items():
             out[e] = [[m[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return GeneratorMatrix(self.dim, self.cutoff, out)
+        return GeneratorMatrix(self.dim, out)
 
     def first_trace(self):
         """(exponent, trace) of the first coefficient, in insertion order,
@@ -86,11 +85,12 @@ class GeneratorMatrix:
                 return e, tr
         return None
 
-    def first_mismatch(self, other: "GeneratorMatrix", window=None):
-        """Compare coefficient-wise; returns (exp, i, j, left, right) or None."""
+    def first_mismatch(self, other: "GeneratorMatrix", window: tuple):
+        """Compare coefficient-wise at the exponents window[0]..window[1];
+        returns (exp, i, j, left, right) or None."""
         exps = set(self.coeffs) | set(other.coeffs)
         for e in sorted(exps):
-            if window is not None and not (window[0] <= e <= window[1]):
+            if not (window[0] <= e <= window[1]):
                 continue
             for i in range(self.dim):
                 for j in range(self.dim):

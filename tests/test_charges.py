@@ -28,13 +28,13 @@ def test_M_diagonal_when_off_terms_vanish():
     def strip(v):
         kept = {}
         for mono, coeff in v.terms.items():
-            keep = ParamPoly(coeff.vars, {
+            keep = ParamPoly({
                 pm: q for pm, q in coeff.terms.items()
                 if all(not name.startswith(("ka", "ks")) for name, _ in pm)
             })
             if not keep.is_zero():
                 kept[mono] = keep
-        return SpectralLaurent(v.svars, kept)
+        return SpectralLaurent(kept)
 
     stripped = m.map_entries(lambda rd, cd, v: strip(v))
     for r, row in stripped.rows.items():
@@ -183,9 +183,9 @@ def test_charge_commutativity_negative_control():
         newc = ParamPoly.zero()
         for mono, q in coeff.terms.items():
             if any(name.startswith("ks") for name, _ in mono):
-                newc = newc + ParamPoly(coeff.vars, {mono: -q})
+                newc = newc + ParamPoly({mono: -q})
             else:
-                newc = newc + ParamPoly(coeff.vars, {mono: q})
+                newc = newc + ParamPoly({mono: q})
         flipped.add_term(sym, newc)
     resid = on.bracket_abstract(i0, flipped)
     assert not resid.is_zero()

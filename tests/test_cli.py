@@ -56,9 +56,23 @@ def test_verify_automorphism_epsilon(capsys):
 
 
 def test_theta2_odd_rank_rejected(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "automorphism", "--which", "theta2", "--n", "3",
-                  "--levels", "1"])
+    code = cli.main(["verify", "automorphism", "--which", "theta2", "--n", "3",
+                     "--levels", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: theta2 requires even N" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "onsager", "--n", "1", "--levels", "1"],
+    ["verify", "currents", "--n", "1", "--cutoff", "3"],
+])
+def test_rank_one_is_validation_error(argv, capsys):
+    # sl_1 = 0: a run at N = 1 would compare nothing
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "N >= 2" in err
 
 
 def test_bad_window_is_validation_error(capsys):

@@ -290,19 +290,19 @@ def test_currents_negative_control(monkeypatch):
 
 def test_currents_fault_at_window_edge_is_caught(monkeypatch):
     # the current modes are kept up to exponent w; a fault planted there
-    # fails on the window boundary, and a target filter one too tight would
-    # drop it silently
+    # (in the current of (1, 2), which is entry (2, 1) of B(x)) fails on the
+    # window boundary, and a target filter one too tight would drop it
+    # silently
     dim, cutoff, top = 2, 4, 2
-    modes = on.current_modes
+    build = on.build_B_matrix
     fault = on.canonicalize_B(dim, 1, 2, 1)
 
-    def bad_modes(dim, i, j, cutoff):
-        out = modes(dim, i, j, cutoff)
-        if (i, j) == (1, 2):
-            out[top] = out[top] + fault
-        return out
+    def bad_B(dim, cutoff):
+        b = build(dim, cutoff)
+        b.coeffs[top][1][0] = b.coeffs[top][1][0] + fault
+        return b
 
-    monkeypatch.setattr(on, "current_modes", bad_modes)
+    monkeypatch.setattr(on, "build_B_matrix", bad_B)
     mism, window = on.currents_mismatch(dim, cutoff)
     assert window == top
     assert mism is not None
@@ -311,9 +311,22 @@ def test_currents_fault_at_window_edge_is_caught(monkeypatch):
 
 
 def test_current_modes_constant_term_rule():
-    modes = on.current_modes(2, 2, 1, 3)
-    assert 0 in modes  # i > j keeps the constant
-    modes = on.current_modes(2, 1, 2, 3)
-    assert 0 not in modes
-    modes = on.current_modes(2, 1, 1, 3)
-    assert 0 not in modes
+    # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); it has a
+    # constant term iff i > j
+    for dim in (2, 3):
+        b = on.build_B_matrix(dim, 3)
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                assert (not b.entry(0, j, i).is_zero()) == (i > j), (dim, i, j)
+                for n in (1, 2, 3):
+                    assert b.entry(n, j, i) == on.canonicalize_B(dim, i, j, n).scale(2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: on.check_presentation_agreement(1, 1),
+    lambda: on.check_UI_relations(1, 1),
+    lambda: on.currents_mismatch(1, 3),
+])
+def test_rank_one_is_rejected(check):
+    with pytest.raises(ValueError, match="N >= 2"):
+        check()
