@@ -6,7 +6,11 @@ the reflection relation on a word ansatz.  Every table, explicit or
 extracted, gets its generating matrix B(x) (numerators over the global
 denominator alpha + (-1)^(N+1) x - 1/x) from the same ansatz read through
 its basis words, and the same exact (no truncation) reflection-relation
-certificate; nested-commutator presentation checks cover ranks 3 and 4.
+certificate.  The relation is cleared by (x - y)(x y - (-1)^N), as for the
+Onsager B(x), and by d(x) d(y); its right side is the one
+``onsager.reflection_rhs`` forms for every B(x), and extraction solves
+the same relation.  Nested-commutator presentation checks cover ranks 3
+and 4.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from fractions import Fraction
 
 from .exactnum import ParamPoly, SpectralLaurent, _mono_mul, _rational, parse_param_poly
 from .linsolve import SparseEliminator, matrix_rank
+from .onsager import reflection_rhs
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import BiSeries, GeneratorMatrix, laurent_xy_terms
+from .series import BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail
 from .symcomb import SymbolCombination
 
 ALPHA = ParamPoly.variable("alpha")
@@ -437,29 +442,16 @@ def build_B_aw(rank: int) -> GeneratorMatrix:
     return build_B(aw3_table() if rank == 3 else aw4_table())
 
 
-def _reflection_sides(num: GeneratorMatrix):
-    """The reflection relation for B(x) = num(x) / aw_denominator, cleared.
-
-    Returns (m, rhs): [num_1(x), num_2(y)] * m == rhs is the relation, with
-    m = clearing * x * y and rhs linear in num.
-    """
-    rank = num.dim
-    clearing, r12c, r21c = cleared_rbar_pair(rank)
-    x = SpectralLaurent.variable("x")
-    y = SpectralLaurent.variable("y")
-    b1 = BiSeries.from_leg(num, 1, 0).convolve(x, "x", "y")
-    b2 = BiSeries.from_leg(num, 2, 1).convolve(y, "x", "y")
-    xden = x * aw_denominator(rank, "x")
-    yden = y * aw_denominator(rank, "y")
-    rhs = (-b1.commutator_scalar(r21c, "x", "y")).convolve(yden, "x", "y") \
-        + b2.commutator_scalar(r12c, "x", "y").convolve(xden, "x", "y")
-    return clearing * x * y, rhs
+def _aw_dens(rank: int) -> tuple:
+    """(d(x), d(y)) for B(x) = num(x) / d(x)."""
+    return aw_denominator(rank, "x"), aw_denominator(rank, "y")
 
 
 def reflection_aw_mismatch(t: StructTable, b: GeneratorMatrix):
     """Exact reflection residual for a finite generating matrix, or None."""
-    m, rhs = _reflection_sides(b)
-    lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(m, "x", "y")
+    clearing, r12c, r21c = cleared_rbar_pair(b.dim)
+    lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(clearing, "x", "y")
+    rhs = reflection_rhs(b, b, r12c, r21c, dens=_aw_dens(b.dim))
     return lhs.first_mismatch(rhs, 10 ** 9)
 
 
@@ -467,11 +459,7 @@ def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
     report = Report("verify aw-reflection", {"n": b.dim})
     with timer(report):
         mism = reflection_aw_mismatch(t, b)
-        detail = None
-        if mism is not None:
-            a, bb, rd, cd, diff = mism
-            detail = f"monomial x^{a} y^{bb} entry {rd}->{cd} residual {diff}"
-        report.add("reflection-exact", mism is None, detail)
+        report.add("reflection-exact", mism is None, mism and mismatch_detail(mism))
         bad = b.first_trace()
         report.add("tracelessness", bad is None, bad and f"x^{bad[0]}: trace {bad[1]}")
     return report
@@ -664,9 +652,10 @@ def extract_structure_constants(rank: int):
         # right-hand side: linear in the words; left-hand side: bilinear in
         # the unknown brackets of word pairs.  Neither the word coefficients
         # nor the clearing multiplier carries alpha, so the rows are rational.
-        m, rhs = _reflection_sides(num)
+        clearing, r12c, r21c = cleared_rbar_pair(rank)
+        rhs = reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))
         scal = [(ex, ey, _rational(sc.const_value()))
-                for ex, ey, sc in laurent_xy_terms(m, "x", "y")]
+                for ex, ey, sc in laurent_xy_terms(clearing, "x", "y")]
         flat = {ij: [(e, widx[w], _rational(c.const_value()))
                      for e, wel in entry.items() for w, c in wel.coeffs.items()]
                 for ij, entry in entries.items()}

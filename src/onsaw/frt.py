@@ -1,16 +1,17 @@
 """Generating matrices T+-(x), their exchange relations, and the two
 involutive automorphisms of the Yang-Baxter presentation.
 
-All relation checks run on truncated series: both sides of a relation are
-multiplied by the minimal clearing polynomial and compared coefficient by
-coefficient inside the contamination-free window |a|, |b| <= D - s, where
-s is the computed per-variable shift bound of the multipliers.  Only what
-can reach that window is formed: each leg keeps the exponents some
-multiplier term shifts into it (``window_reach``), and the products of
-the multiplications land inside it.  Everything skipped lands only on
-cells that are never compared, so every compared coefficient, and with
-it the verdict, the window and the first-mismatch locator, is the same
-as with the full products.
+The exchange relations run on truncated series by the window rule of
+``series.windowed``, which the reflection relation and the currents of
+``onsager`` share: both sides of a relation are multiplied by the minimal
+clearing polynomial and compared coefficient by coefficient inside the
+contamination-free window |a|, |b| <= D - s, where s is the computed
+per-variable shift bound of the multipliers.  Only what can reach that
+window is formed: each leg keeps the exponents some multiplier term
+shifts into it, and the products of the multiplications land inside it.
+Everything skipped lands only on cells that are never compared, so every
+compared coefficient, and with it the verdict, the window and the
+first-mismatch locator, is the same as with the full products.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import loop_algebra as la
 from .exactnum import ParamPoly, SpectralLaurent
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
-from .series import BiSeries, GeneratorMatrix, mismatch_detail, shift_bound, window_reach
+from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
 
 
 def build_T(sign: int, dim: int, cutoff: int) -> GeneratorMatrix:
@@ -353,13 +354,8 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
             central_bis = BiSeries.from_scalar(
                 dim, c_clear, "x", "y", la.central(dim)
             )
-    window = cutoff - shift_bound(multipliers, ("x", "y"))
-    if window < 0:
-        raise ValueError("cutoff too small: empty comparison window")
-    # T_a lives in x and T_b in y; exponents no multiplier shifts into the
-    # window only reach cells that are never compared
-    ta = ta.restricted(*window_reach(multipliers, "x", window))
-    tb = tb.restricted(*window_reach(multipliers, "y", window))
+    # T_a lives in x and T_b in y
+    ta, tb, window = windowed(ta, tb, cutoff, multipliers)
     lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, "x", "y", window)
     tsum = BiSeries.from_leg(ta, 1, 0) + BiSeries.from_leg(tb, 2, 1)
     rhs = tsum.commutator_scalar(r_clear, "x", "y", window)

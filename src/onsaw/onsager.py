@@ -23,8 +23,7 @@ from .exactnum import SpectralLaurent
 from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import (BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail, shift_bound,
-                     window_reach)
+from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
 from .symcomb import SymbolCombination
 
 
@@ -77,10 +76,6 @@ def _acc_raw(out: OnsagerElement, i: int, j: int, n: int, coeff) -> None:
             out.add_term(("B", p, p, n), coeff * -1)
         return
     out.add_term(("B", i, j, n), coeff)
-
-
-def unit(dim: int, i: int, j: int, n: int) -> OnsagerElement:
-    return canonicalize_B(dim, i, j, n)
 
 
 def onsager_basis(dim: int, max_level: int):
@@ -312,6 +307,24 @@ def check_Bxg(dim: int, cutoff: int) -> Report:
     return report
 
 
+def reflection_rhs(bx: GeneratorMatrix, by: GeneratorMatrix, r12c: dict, r21c: dict,
+                   window=None, dens=None) -> BiSeries:
+    """-[B_1(x), rbar_21] d(y) + [B_2(y), rbar_12] d(x): the right side of
+    the reflection relation for B = bx / d on leg 1 and B = by / d on leg 2,
+    cleared by C = ``rbar_clearing`` and by d(x) d(y), so that its left side
+    is [bx_1(x), by_2(y)] C.
+
+    ``dens`` is the pair (d(x), d(y)), None for d = 1; only then may a
+    window be set.
+    """
+    left = -BiSeries.from_leg(bx, 1, 0).commutator_scalar(r21c, "x", "y", window)
+    right = BiSeries.from_leg(by, 2, 1).commutator_scalar(r12c, "x", "y", window)
+    if dens is not None:
+        left = left.convolve(dens[1], "x", "y")
+        right = right.convolve(dens[0], "x", "y")
+    return left + right
+
+
 def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):
     """Window mismatch of the reflection relation for B(x), or None."""
     clearing, r12c, r21c = cleared_rbar_pair(dim)
@@ -321,19 +334,10 @@ def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):
         r21c = r21
     b = build_B_matrix(dim, cutoff)
     multipliers = [clearing] + list(r12c.values()) + list(r21c.values())
-    window = cutoff - shift_bound(multipliers, ("x", "y"))
-    if window < 0:
-        raise ValueError("cutoff too small: empty comparison window")
-    # B_1 lives in x and B_2 in y; exponents no multiplier shifts into the
-    # window only reach cells that are never compared
-    bx = b.restricted(*window_reach(multipliers, "x", window))
-    by = b.restricted(*window_reach(multipliers, "y", window))
+    # B_1 lives in x and B_2 in y
+    bx, by, window = windowed(b, b, cutoff, multipliers)
     lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, "x", "y", window)
-    b1 = BiSeries.from_leg(bx, 1, 0)
-    b2 = BiSeries.from_leg(by, 2, 1)
-    # [r21, B1] = -[B1, r21];  [B2, r12]
-    rhs = (-b1.commutator_scalar(r21c, "x", "y", window)) \
-        + b2.commutator_scalar(r12c, "x", "y", window)
+    rhs = reflection_rhs(bx, by, r12c, r21c, window)
     return lhs.first_mismatch(rhs, window), window
 
 
@@ -361,26 +365,15 @@ def _H(k: int) -> Fraction:
     return Fraction(0)
 
 
-def _series_convolve(series: dict, slot: int, scal: SpectralLaurent, out: dict,
-                     window: int) -> None:
-    """Accumulate series (in slot 0=x, 1=y) times a scalar (x,y)-polynomial,
-    forming only the products that land in max(|a|, |b|) <= window."""
-    for ex, ey, coeff in laurent_xy_terms(scal, "x", "y"):
-        for n, elem in series.items():
-            key = (n + ex, ey) if slot == 0 else (ex, n + ey)
-            if max(abs(key[0]), abs(key[1])) > window:
-                continue
-            cur = out.get(key)
-            v = elem.scale(coeff)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-
 def currents_mismatch(dim: int, cutoff: int):
-    """Check every current exchange relation; returns (mismatch, window)."""
+    """Check every current exchange relation; returns (mismatch, window).
+
+    The left sides of all relations together are the left side of the
+    reflection relation: the relation of the currents (i, j) in x and
+    (k, l) in y is its cell (idx(j, l), idx(i, k)).  The right sides are
+    the H-kernel formulas.  The first mismatch is named in quadruple order,
+    then by (a, b).
+    """
     if dim < 2:
         raise ValueError("need N >= 2")
     sigma = parity_sign(dim)
@@ -392,79 +385,42 @@ def currents_mismatch(dim: int, cutoff: int):
     # every kernel below is dprod times x, y or their mean, or dxy times
     # x*y, a constant or their mean, up to a constant factor
     multipliers = [clearing, dprod * x, dprod * y, dxy * x * y, dxy]
-    window = cutoff - shift_bound(multipliers, ("x", "y"))
-    if window < 0:
-        raise ValueError("cutoff too small: empty comparison window")
-    # modes no multiplier shifts into the window only reach cells that are
-    # never compared
-    lo_x, hi_x = window_reach(multipliers, "x", window)
-    lo_y, hi_y = window_reach(multipliers, "y", window)
+    b = build_B_matrix(dim, cutoff)
+    bx, by, window = windowed(b, b, cutoff, multipliers)
+    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, "x", "y", window)
+
     # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); its constant
     # term is nonzero only for i > j
-    b = build_B_matrix(dim, cutoff)
-    modes = {
-        (i, j): {n: m[j - 1][i - 1] for n, m in b.coeffs.items() if not m[j - 1][i - 1].is_zero()}
-        for i in range(1, dim + 1)
-        for j in range(1, dim + 1)
-    }
-    cur_x = {ij: {n: v for n, v in m.items() if lo_x <= n <= hi_x} for ij, m in modes.items()}
-    cur_y = {ij: {n: v for n, v in m.items() if lo_y <= n <= hi_y} for ij, m in modes.items()}
-    for (i, j) in sorted(modes):
-        for (k, l) in sorted(modes):
-            lhs: dict = {}
-            for a, ea in cur_x[(i, j)].items():
-                for b, eb in cur_y[(k, l)].items():
-                    br = bracket_abstract(ea, eb)
-                    if not br.is_zero():
-                        key = (a, b)
-                        curv = lhs.get(key)
-                        lhs[key] = br if curv is None else curv + br
-            lhs_c: dict = {}
-            for ex, ey, coeff in laurent_xy_terms(clearing, "x", "y"):
-                for (a, b), elem in lhs.items():
-                    key = (a + ex, b + ey)
-                    if max(abs(key[0]), abs(key[1])) > window:
-                        continue
-                    v = elem.scale(coeff)
-                    curv = lhs_c.get(key)
-                    s = v if curv is None else curv + v
-                    if s.is_zero():
-                        lhs_c.pop(key, None)
-                    else:
-                        lhs_c[key] = s
+    def currents(b):
+        return {(i, j): {n: m[j - 1][i - 1] for n, m in b.coeffs.items()
+                         if not m[j - 1][i - 1].is_zero()}
+                for i in range(1, dim + 1) for j in range(1, dim + 1)}
 
-            rhs: dict = {}
-            wx = x * _H(k - l) + y * _H(l - k)
-            wy = y * _H(i - j) + x * _H(j - i)
-            if j == k:
-                _series_convolve(cur_x[(i, l)], 0, dprod * wx * 2, rhs, window)
-                _series_convolve(cur_y[(i, l)], 1, dprod * wy * -2, rhs, window)
-            if i == l:
-                _series_convolve(cur_x[(k, j)], 0, dprod * wx * -2, rhs, window)
-                _series_convolve(cur_y[(k, j)], 1, dprod * wy * 2, rhs, window)
-            ux = (x * y * _H(l - k) + SpectralLaurent.const(sigma * _H(k - l))) * parity_sign(k + l)
-            uy = (x * y * _H(j - i) + SpectralLaurent.const(sigma * _H(i - j))) * parity_sign(i + j)
-            if i == k:
-                _series_convolve(cur_x[(l, j)], 0, dxy * ux * -2, rhs, window)
-                _series_convolve(cur_y[(j, l)], 1, dxy * uy * 2, rhs, window)
-            if j == l:
-                _series_convolve(cur_x[(i, k)], 0, dxy * ux * 2, rhs, window)
-                _series_convolve(cur_y[(k, i)], 1, dxy * uy * -2, rhs, window)
+    cur_x = currents(bx)
+    cur_y = currents(by)
+    rhs = BiSeries(dim)
+    for (i, j), (k, l) in product(cur_x, repeat=2):
+        cell = (rhs.idx(j, l), rhs.idx(i, k))
+        wx = x * _H(k - l) + y * _H(l - k)
+        wy = y * _H(i - j) + x * _H(j - i)
+        if j == k:
+            rhs.add_series(cell, cur_x[(i, l)], 0, dprod * wx * 2, window)
+            rhs.add_series(cell, cur_y[(i, l)], 1, dprod * wy * -2, window)
+        if i == l:
+            rhs.add_series(cell, cur_x[(k, j)], 0, dprod * wx * -2, window)
+            rhs.add_series(cell, cur_y[(k, j)], 1, dprod * wy * 2, window)
+        ux = (x * y * _H(l - k) + SpectralLaurent.const(sigma * _H(k - l))) * parity_sign(k + l)
+        uy = (x * y * _H(j - i) + SpectralLaurent.const(sigma * _H(i - j))) * parity_sign(i + j)
+        if i == k:
+            rhs.add_series(cell, cur_x[(l, j)], 0, dxy * ux * -2, window)
+            rhs.add_series(cell, cur_y[(j, l)], 1, dxy * uy * 2, window)
+        if j == l:
+            rhs.add_series(cell, cur_x[(i, k)], 0, dxy * ux * 2, window)
+            rhs.add_series(cell, cur_y[(k, i)], 1, dxy * uy * -2, window)
 
-            keys = set(lhs_c) | set(rhs)
-            bad = []
-            for (a, b) in keys:
-                if max(abs(a), abs(b)) > window or min(a, b) < 0:
-                    continue
-                ea = lhs_c.get((a, b))
-                eb = rhs.get((a, b))
-                diff = ea if eb is None else (eb if ea is None else ea - eb)
-                if diff is not None and not diff.is_zero():
-                    bad.append((a, b, diff))
-            if bad:
-                a, b, diff = min(bad, key=lambda t: (t[0], t[1]))
-                return ((i, j, k, l), a, b, diff), window
-    return None, window
+    found = [((i, j, k, l), a, b, diff)
+             for a, b, (j, l), (i, k), diff in lhs.mismatches(rhs, window)]
+    return min(found, key=lambda m: m[:3], default=None), window
 
 
 def check_currents(dim: int, cutoff: int) -> Report:

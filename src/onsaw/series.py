@@ -285,17 +285,24 @@ class BiSeries:
         return (self.mul_scalar(scal, xv, yv, "right", window)
                 - self.mul_scalar(scal, xv, yv, "left", window))
 
+    def add_series(self, key, series: dict, slot: int, lau: SpectralLaurent,
+                   window: int) -> None:
+        """Add a one-variable series {exponent -> element}, its exponents in
+        slot 0 (x) or 1 (y), times a scalar Laurent polynomial in (x, y) to
+        cell ``key``, forming only the products that land in
+        max(|a|, |b|) <= window."""
+        terms = laurent_xy_terms(lau, "x", "y")
+        for n, elem in series.items():
+            a, b = (n, 0) if slot == 0 else (0, n)
+            for ex, ey, coeff in _landing(terms, a, b, window):
+                self._acc(key, (a + ex, b + ey), elem.scale(coeff))
+
     # -- comparison ---------------------------------------------------------
 
-    def first_mismatch(self, other: "BiSeries", window: int):
-        """First differing coefficient with max(|a|,|b|) <= window.
-
-        Returns (a, b, row digits, col digits, difference) or None;
-        iteration order is deterministic.
-        """
-        keys = set(self.data) | set(other.data)
-        found = []
-        for key in keys:
+    def mismatches(self, other: "BiSeries", window: int):
+        """Every nonzero coefficient of self - other with max(|a|,|b|) <= window,
+        as (a, b, row digits, col digits, difference), in no fixed order."""
+        for key in set(self.data) | set(other.data):
             sa = self.data.get(key, {})
             sb = other.data.get(key, {})
             for exps in set(sa) | set(sb):
@@ -304,18 +311,13 @@ class BiSeries:
                     continue
                 ea = sa.get(exps)
                 eb = sb.get(exps)
-                if ea is None:
-                    diff = eb
-                elif eb is None:
-                    diff = ea
-                else:
-                    diff = ea - eb
-                if diff is not None and not diff.is_zero():
-                    found.append((a, b, key, diff))
-        if not found:
-            return None
-        a, b, key, diff = min(found, key=lambda t: (t[0], t[1], t[2]))
-        return (a, b, self.digits(key[0]), self.digits(key[1]), diff)
+                diff = -eb if ea is None else ea if eb is None else ea - eb
+                if not diff.is_zero():
+                    yield (a, b, self.digits(key[0]), self.digits(key[1]), diff)
+
+    def first_mismatch(self, other: "BiSeries", window: int):
+        """The first of ``mismatches`` in (a, b, row, col) order, or None."""
+        return min(self.mismatches(other, window), key=lambda m: m[:4], default=None)
 
 
 def _landing(terms, a, b, window) -> list:
@@ -338,6 +340,21 @@ def window_reach(laurents, var: str, window: int) -> tuple:
     into |e| <= window: [-window - max shift, window - min shift]."""
     shifts = [dict(m).get(var, 0) for p in laurents for m in p.terms]
     return -window - max(shifts), window - min(shifts)
+
+
+def windowed(gx: GeneratorMatrix, gy: GeneratorMatrix, cutoff: int, multipliers) -> tuple:
+    """(gx, gy, window) for a two-leg relation between gx(x) and gy(y)
+    truncated at exponent ``cutoff`` and multiplied by ``multipliers``.
+
+    The window w = cutoff - shift_bound is where no truncated coefficient
+    reaches; each matrix keeps the exponents some multiplier term shifts
+    into it, since the rest only reach cells that are never compared.
+    """
+    window = cutoff - shift_bound(multipliers, ("x", "y"))
+    if window < 0:
+        raise ValueError("cutoff too small: empty comparison window")
+    return (gx.restricted(*window_reach(multipliers, "x", window)),
+            gy.restricted(*window_reach(multipliers, "y", window)), window)
 
 
 def mismatch_detail(mism) -> str:

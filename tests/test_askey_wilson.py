@@ -118,6 +118,9 @@ def test_reflection_negative_control():
     t.table[key] = {k: -v for k, v in t.table[key].items()}
     mism = aw.reflection_aw_mismatch(t, aw.build_B_aw(3))
     assert mism is not None
+    detail = {c.name: c.detail for c in aw.check_reflection_aw(t, aw.build_B_aw(3)).failures()}
+    assert detail["reflection-exact"] == (
+        "monomial [(x,0), (y,1)] entry (1, 1)->(1, 2) residual -64/3*<0> + -32/3*alpha*<3>")
 
 
 def test_reflection_tracelessness_negative_control():

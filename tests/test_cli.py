@@ -128,7 +128,7 @@ def test_extract_recertifies_reflection(shift, tmp_path, monkeypatch, capsys):
                          "--format", "json"], capsys)
     assert code == 1
     fail = [c for c in json.loads(out)["checks"] if c["name"] == "reflection-exact"]
-    assert fail[0]["status"] == "fail" and fail[0]["detail"].startswith("monomial x^")
+    assert fail[0]["status"] == "fail" and fail[0]["detail"].startswith("monomial [(x,")
 
 
 def test_charges_print(capsys):

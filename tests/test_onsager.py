@@ -1,13 +1,14 @@
 """Canonicalization, the embedding oracle, and the B(x) relation checks."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from onsaw import loop_algebra as la
 from onsaw import onsager as on
 from onsaw.exactnum import SpectralLaurent
-from onsaw.frt import apply_theta1
+from onsaw.frt import apply_theta1, frt_relation_mismatch
 from onsaw.rmatrix import build_r, cleared_rbar_pair, parity_sign
 from onsaw.series import BiSeries, shift_bound
 
@@ -253,6 +254,118 @@ def test_reflection_fault_at_window_edge_is_caught(monkeypatch):
     assert (mism, window) == _unpruned_reflection(dim, cutoff)()
 
 
+def test_biseries_one_sided_mismatch_is_lhs_minus_rhs():
+    # a cell formed on one side only differs by its own value on the left
+    # side and by its negation on the right side
+    el = on.canonicalize_B(2, 1, 2, 1)
+    one = BiSeries(2, {(0, 1): {(0, 1): el}})
+    empty = BiSeries(2)
+    assert one.first_mismatch(empty, 1) == (0, 1, (1, 1), (1, 2), el)
+    assert empty.first_mismatch(one, 1) == (0, 1, (1, 1), (1, 2), -el)
+    assert one.first_mismatch(one, 1) is None
+    # outside the window nothing is compared
+    assert empty.first_mismatch(one, 0) is None
+
+
+def _unwindowed_currents(dim, cutoff):
+    """The current relations with the full B(x) and every product formed,
+    compared quadruple by quadruple, then by (a, b), inside the window."""
+    x = SpectralLaurent.variable("x")
+    y = SpectralLaurent.variable("y")
+    sigma = parity_sign(dim)
+    dxy = x - y
+    dprod = x * y - SpectralLaurent.const(sigma)
+    H = on._H
+    multipliers = [dxy * dprod, dprod * x, dprod * y, dxy * x * y, dxy]
+    window = cutoff - shift_bound(multipliers, ("x", "y"))
+    b = on.build_B_matrix(dim, cutoff)
+
+    def cur(i, j, slot):
+        # the current (i, j) is entry (j, i) of B(x)
+        return {((n, 0) if slot == 0 else (0, n)): m[j - 1][i - 1] for n, m in b.coeffs.items()}
+
+    def add(acc, key, el):
+        acc[key] = acc.get(key, on.zero(dim)) + el
+
+    def times(series, lau, acc):
+        for (a, bb), el in series.items():
+            for mono, c in lau.terms.items():
+                d = dict(mono)
+                add(acc, (a + d.get("x", 0), bb + d.get("y", 0)), el.scale(c))
+
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)]
+    for (i, j), (k, l) in product(pairs, repeat=2):
+        brackets = {}
+        for (a, _), ea in cur(i, j, 0).items():
+            for (_, bb), eb in cur(k, l, 1).items():
+                add(brackets, (a, bb), on.bracket_abstract(ea, eb))
+        lhs, rhs = {}, {}
+        times(brackets, dxy * dprod, lhs)
+        wx = x * H(k - l) + y * H(l - k)
+        wy = y * H(i - j) + x * H(j - i)
+        ux = (x * y * H(l - k) + SpectralLaurent.const(sigma * H(k - l))) * parity_sign(k + l)
+        uy = (x * y * H(j - i) + SpectralLaurent.const(sigma * H(i - j))) * parity_sign(i + j)
+        if j == k:
+            times(cur(i, l, 0), dprod * wx * 2, rhs)
+            times(cur(i, l, 1), dprod * wy * -2, rhs)
+        if i == l:
+            times(cur(k, j, 0), dprod * wx * -2, rhs)
+            times(cur(k, j, 1), dprod * wy * 2, rhs)
+        if i == k:
+            times(cur(l, j, 0), dxy * ux * -2, rhs)
+            times(cur(j, l, 1), dxy * uy * 2, rhs)
+        if j == l:
+            times(cur(i, k, 0), dxy * ux * 2, rhs)
+            times(cur(k, i, 1), dxy * uy * -2, rhs)
+        for a, bb in sorted(set(lhs) | set(rhs)):
+            diff = lhs.get((a, bb), on.zero(dim)) - rhs.get((a, bb), on.zero(dim))
+            if max(abs(a), abs(bb)) <= window and not diff.is_zero():
+                return ((i, j, k, l), a, bb, diff), window
+    return None, window
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+def test_currents_match_unwindowed(dim, cutoff):
+    got = on.currents_mismatch(dim, cutoff)
+    assert got[0] is None
+    assert got == _unwindowed_currents(dim, cutoff)
+
+
+@pytest.mark.parametrize("exp,row,col,fault", [
+    (0, 0, 1, (1, 2, 1)), (1, 1, 1, (2, 1, 1)), (2, 1, 0, (1, 2, 2)),
+    (3, 0, 0, (1, 2, 1)), (4, 2, 1, (1, 2, 3)),
+])
+def test_currents_match_unwindowed_planted(monkeypatch, exp, row, col, fault):
+    # a fault planted in B(x) is named at the same quadruple, monomial and
+    # residual as by the unwindowed reference; exponent 4 is the window edge
+    dim, cutoff = 3, 6
+    build = on.build_B_matrix
+    el = on.canonicalize_B(dim, *fault)
+
+    def bad_B(dim, cutoff):
+        b = build(dim, cutoff)
+        b.coeffs[exp][row][col] = b.coeffs[exp][row][col] + el
+        return b
+
+    monkeypatch.setattr(on, "build_B_matrix", bad_B)
+    got = on.currents_mismatch(dim, cutoff)
+    assert got[0] is not None
+    assert got == _unwindowed_currents(dim, cutoff)
+
+
+@pytest.mark.parametrize("relation", [
+    lambda: frt_relation_mismatch(2, 1, 1, -1),
+    lambda: on.reflection_mismatch(2, 1),
+    lambda: on.currents_mismatch(2, 1),
+])
+def test_cutoff_one_leaves_an_empty_window(relation):
+    # each windowed relation takes its window from the one shared rule
+    with pytest.raises(ValueError, match="cutoff too small: empty comparison window") as info:
+        relation()
+    assert info.traceback[-1].name == "windowed"
+
+
 def test_reflection_tracelessness_negative_control(monkeypatch):
     # a diagonal shift planted at every exponent is named at the first one
     build = on.build_B_matrix
@@ -280,12 +393,16 @@ def test_currents_negative_control(monkeypatch):
     # failing pair and monomial are named
     step = on._H
     monkeypatch.setattr(on, "_H", lambda k: Fraction(1) if k == 0 else step(k))
+    # the failing cell is formed on the right side only; its residual is
+    # lhs - rhs
+    want = {2: "-4*B[1,2]^(1)", 3: "4*B[1,2]^(1)"}
     for dim in (2, 3):
         rep = on.check_currents(dim, 4)
         assert not rep.ok()
         detail = rep.failures()[0].detail
         assert detail.startswith("currents (1, 1, 1, 2) monomial x^1 y^1 residual "), detail
         assert detail.endswith("4*B[1,2]^(1)"), detail
+        assert detail == f"currents (1, 1, 1, 2) monomial x^1 y^1 residual {want[dim]}"
 
 
 def test_currents_fault_at_window_edge_is_caught(monkeypatch):
