@@ -396,27 +396,38 @@ def currents_mismatch(dim: int, cutoff: int):
                          if not m[j - 1][i - 1].is_zero()}
                 for i in range(1, dim + 1) for j in range(1, dim + 1)}
 
+    # the kernels depend only on sign(k - l), sign(i - j) and the parities
+    # of k + l and i + j, so each is built once, with both signs; the y-side
+    # kernel 2*dprod*(y H(s) + x H(-s)) is the x-side one at -s
+    def pm(kernel):
+        return {1: kernel, -1: -kernel}
+
+    signs = (-1, 0, 1)
+    w = {s: pm(dprod * (x * _H(s) + y * _H(-s)) * 2) for s in signs}
+    u = {(s, p): pm(dxy * (x * y * _H(-s) + SpectralLaurent.const(sigma * _H(s))) * (2 * p))
+         for s in signs for p in (1, -1)}
+
     cur_x = currents(bx)
     cur_y = currents(by)
     rhs = BiSeries(dim)
     for (i, j), (k, l) in product(cur_x, repeat=2):
         cell = (rhs.idx(j, l), rhs.idx(i, k))
-        wx = x * _H(k - l) + y * _H(l - k)
-        wy = y * _H(i - j) + x * _H(j - i)
+        skl = (k > l) - (k < l)
+        sij = (i > j) - (i < j)
+        wx, wy = w[skl], w[-sij]
         if j == k:
-            rhs.add_series(cell, cur_x[(i, l)], 0, dprod * wx * 2, window)
-            rhs.add_series(cell, cur_y[(i, l)], 1, dprod * wy * -2, window)
+            rhs.add_series(cell, cur_x[(i, l)], 0, wx[1], window)
+            rhs.add_series(cell, cur_y[(i, l)], 1, wy[-1], window)
         if i == l:
-            rhs.add_series(cell, cur_x[(k, j)], 0, dprod * wx * -2, window)
-            rhs.add_series(cell, cur_y[(k, j)], 1, dprod * wy * 2, window)
-        ux = (x * y * _H(l - k) + SpectralLaurent.const(sigma * _H(k - l))) * parity_sign(k + l)
-        uy = (x * y * _H(j - i) + SpectralLaurent.const(sigma * _H(i - j))) * parity_sign(i + j)
+            rhs.add_series(cell, cur_x[(k, j)], 0, wx[-1], window)
+            rhs.add_series(cell, cur_y[(k, j)], 1, wy[1], window)
+        ux, uy = u[skl, parity_sign(k + l)], u[sij, parity_sign(i + j)]
         if i == k:
-            rhs.add_series(cell, cur_x[(l, j)], 0, dxy * ux * -2, window)
-            rhs.add_series(cell, cur_y[(j, l)], 1, dxy * uy * 2, window)
+            rhs.add_series(cell, cur_x[(l, j)], 0, ux[-1], window)
+            rhs.add_series(cell, cur_y[(j, l)], 1, uy[1], window)
         if j == l:
-            rhs.add_series(cell, cur_x[(i, k)], 0, dxy * ux * 2, window)
-            rhs.add_series(cell, cur_y[(k, i)], 1, dxy * uy * -2, window)
+            rhs.add_series(cell, cur_x[(i, k)], 0, ux[1], window)
+            rhs.add_series(cell, cur_y[(k, i)], 1, uy[-1], window)
 
     found = [((i, j, k, l), a, b, diff)
              for a, b, (j, l), (i, k), diff in lhs.mismatches(rhs, window)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from onsaw import rmatrix as rm
-from onsaw.exactnum import ExactDivisionError, SpectralLaurent
+from onsaw.exactnum import ExactDivisionError, ParamPoly, SpectralLaurent, laurent_exact_div
 
 X = SpectralLaurent.variable("x")
 Y = SpectralLaurent.variable("y")
@@ -195,3 +195,112 @@ def test_ns_cybe_negative_control():
 def test_ns_cybe_reduces_to_cybe_for_plain_r():
     resid = rm.ns_cybe_residual(*rm.ns_cybe_operators(3, builder=rm.build_r))
     assert resid.is_zero()
+
+
+# -- products formed once per distinct entry value ------------------------------
+
+
+def _entries(op):
+    return op.den, {(r, c): v for r, row in op.rows.items() for c, v in row.items()}
+
+
+def _nonzero(sums):
+    return {rc: v for rc, v in sums.items() if not v.is_zero()}
+
+
+def _plain_products(pairs):
+    """Sum of a @ b over (a, b, sign) with every entry pair multiplied, no memo."""
+    sums = {}
+    for a, b, sign in pairs:
+        for r, row in a.rows.items():
+            for k, v in row.items():
+                for c, w in b.rows.get(k, {}).items():
+                    sums[r, c] = sums.get((r, c), SpectralLaurent.zero()) + v * w * sign
+    return a.den * b.den, _nonzero(sums)
+
+
+def _plain_matmul(a, b):
+    return _plain_products([(a, b, 1)])
+
+
+def _plain_commutator(a, b):
+    return _plain_products([(a, b, 1), (b, a, -1)])
+
+
+def _plain_over(entries, clearing):
+    den, vals = entries
+    mult = laurent_exact_div(clearing, den)
+    return clearing, _nonzero({rc: v * mult for rc, v in vals.items()})
+
+
+def _assert_products_match(a, b, clearing):
+    assert _entries(a @ b) == _plain_matmul(a, b)
+    assert _entries(b @ a) == _plain_matmul(b, a)
+    comm = a.commutator(b)
+    assert _entries(comm) == _plain_commutator(a, b)
+    assert _entries(comm.over(clearing)) == _plain_over(_plain_commutator(a, b), clearing)
+    assert _entries(a.over(clearing)) == _plain_over(_entries(a), clearing)
+
+
+def test_products_match_plain_on_embedded_rbar():
+    r13, r23, r21, r12 = rm.ns_cybe_operators(3)
+    clearing = r12.den * r13.den * r23.den
+    for a, b in ((r13, r23), (r21, r13), (r23, r12)):
+        _assert_products_match(a, b, clearing)
+    fresh = rm.ns_cybe_operators(3)
+    assert [_entries(op) for op in (r13, r23, r21, r12)] == [_entries(op) for op in fresh]
+
+
+def _palette():
+    """Fresh entries: the first two are equal values built apart, with their
+    terms in another order; each other one differs from the first in one
+    coefficient or one exponent."""
+    a = SpectralLaurent.const(ParamPoly.variable("alpha"))
+    return [
+        X * a + Y * 2,
+        Y * 2 + a * X,
+        X * a + Y * 3,
+        X * a * 2 + Y * 2,
+        X * (a + 1) + Y * 2,
+        X * a + Y * Y * 2,
+        X * X * a + Y * 2,
+    ]
+
+
+def _palette_operator(den, shift):
+    op = rm.TensorOperator(2, 2, den)
+    for r in range(4):
+        for c in range(4):
+            op.put(op.digits(r), op.digits(c), _palette()[(3 * r + c + shift) % 7])
+    return op
+
+
+def test_products_match_plain_on_equal_valued_entries():
+    a = _palette_operator(X - Y, 0)
+    b = _palette_operator(X * Y - ONE, 2)
+    _assert_products_match(a, b, (X - Y) * (X * Y - ONE) * (X + Y))
+    assert _entries(a) == _entries(_palette_operator(X - Y, 0))
+    assert _entries(b) == _entries(_palette_operator(X * Y - ONE, 2))
+
+
+def test_products_match_plain_on_planted_ns_cybe_residual():
+    def planted_r13():
+        r13 = rm.rbar_closed(3, "x1", "x3")
+        r13.put((1, 2), (2, 1), SpectralLaurent.monomial(3, {"x1": 1}))
+        return r13.embed_legs((1, 3), 3)
+
+    r13 = planted_r13()
+    _, r23, r21, r12 = rm.ns_cybe_operators(3)
+    clearing = r12.den * r13.den * r23.den
+    got = rm.ns_cybe_residual(r13, r23, r21, r12)
+    want = {}
+    for a, b, sign in ((r13, r23, 1), (r21, r13, -1), (r23, r12, -1)):
+        for rc, v in _plain_over(_plain_commutator(a, b), clearing)[1].items():
+            want[rc] = want.get(rc, SpectralLaurent.zero()) + v * sign
+    assert _entries(got) == (clearing, _nonzero(want))
+    r, c = min(_nonzero(want))
+    mono = min(want[r, c].terms)
+    assert got.first_nonzero() == (got.digits(r), got.digits(c), mono, want[r, c].terms[mono])
+    assert _entries(r13) == _entries(planted_r13())
+    fresh = rm.ns_cybe_operators(3)[1:]
+    assert [_entries(op) for op in (r23, r21, r12)] == [_entries(op) for op in fresh]
