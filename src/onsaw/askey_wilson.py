@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ParamPoly, SpectralLaurent, _mono_mul, _rational, parse_param_poly
+from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, as_poly,
+                       parse_param_poly, plain)
 from .linsolve import SparseEliminator, matrix_rank
 from .onsager import reflection_rhs
 from .report import Report, timer
@@ -84,13 +85,13 @@ class StructTable:
 
     def unit(self, name_or_idx) -> TableElement:
         k = name_or_idx if isinstance(name_or_idx, int) else self.index[name_or_idx]
-        return TableElement(self.dim, {k: ParamPoly.one()})
+        return TableElement(self.dim, {k: 1})
 
     def generator(self, i: int) -> TableElement:
         return self.unit(self.gen_indices[i - 1])
 
     def set_bracket(self, ia: int, ib: int, vec: dict) -> None:
-        vec = {k: v for k, v in vec.items() if not v.is_zero()}
+        vec = {k: as_poly(v) for k, v in vec.items() if v}
         if ia == ib:
             if vec:
                 raise ValueError(f"[x,x] != 0 at basis {self.basis[ia]}")
@@ -382,7 +383,7 @@ def aw4_table() -> StructTable:
             u = t.unit(na)
             for k in (1, 2, 3):
                 lhs = lhs + t.bracket(u, t.unit(f"h{k}")).scale(-1)
-        want = TableElement(t.dim, {k: v for k, v in vec.items() if not v.is_zero()})
+        want = TableElement(t.dim, {k: plain(v) for k, v in vec.items() if v})
         if not (lhs - want).is_zero():
             raise ValueError(f"mod-4 instance [{na}, h4] inconsistent with the table")
     return t
@@ -656,7 +657,7 @@ def extract_structure_constants(rank: int):
         rhs = reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))
         scal = [(ex, ey, _rational(sc.const_value()))
                 for ex, ey, sc in laurent_xy_terms(clearing, "x", "y")]
-        flat = {ij: [(e, widx[w], _rational(c.const_value()))
+        flat = {ij: [(e, widx[w], c)
                      for e, wel in entry.items() for w, c in wel.coeffs.items()]
                 for ij, entry in entries.items()}
         elim = SparseEliminator()
@@ -687,7 +688,7 @@ def extract_structure_constants(rank: int):
                             rvec = rhs_ser.get(mkey)
                             rdict = {}
                             if rvec is not None:
-                                rdict = {widx[w]: c for w, c in rvec.coeffs.items()}
+                                rdict = {widx[w]: as_poly(c) for w, c in rvec.coeffs.items()}
                             elim.add_row(lhs_grid.get(mkey, {}), rdict)
                             rows += 1
         all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
@@ -827,6 +828,8 @@ def import_table(data: dict) -> StructTable:
 
 def check_aw(rank: int) -> Report:
     """The full explicit-table suite for ranks 3 and 4."""
+    if rank not in (3, 4):
+        raise ValueError("explicit tables exist for ranks 3 and 4 only")
     report = Report("verify aw", {"n": rank})
     with timer(report):
         t = aw3_table() if rank == 3 else aw4_table()

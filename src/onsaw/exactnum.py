@@ -13,6 +13,12 @@ Three layers, all exact and immutable:
 Both polynomial types are their terms: a variable belongs to a
 polynomial when it occurs in one of its terms.
 
+A coefficient of a linear combination (``symcomb``) is stored plain: an
+``int``, a ``Fraction`` with denominator > 1, or a ``ParamPoly`` in which
+some parameter occurs.  ``plain`` is the one normaliser; a constant
+never stays a ``ParamPoly``, so products of constants are products of
+numbers.  ``as_poly`` wraps a coefficient back for readers of its terms.
+
 No quotient is ever a value: every identity is multiplied through by a
 declared clearing polynomial, and a division is taken only where it is
 exact.  There is one long division, ``ParamPoly.exact_div``;
@@ -114,6 +120,9 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_const(self) -> bool:
         return all(m == () for m in self.terms)
@@ -280,6 +289,32 @@ class ParamPoly:
     __repr__ = __str__
 
 
+def plain(value):
+    """The stored form of a coefficient: the int or Fraction (denominator
+    > 1) it equals when it is constant, else the ParamPoly itself.  A float,
+    or anything else, raises TypeError."""
+    t = type(value)
+    if t is int:
+        return value
+    if t is ParamPoly:
+        terms = value.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and () in terms:
+            return terms[()]
+        return value
+    if t is Fraction:
+        return _rational(value)
+    if isinstance(value, int):
+        return int(value)  # a bool is stored as the int it equals
+    raise TypeError(f"a coefficient is an int, a Fraction or a ParamPoly, not {t.__name__}")
+
+
+def as_poly(value) -> ParamPoly:
+    """The ParamPoly a coefficient equals, for a reader of its terms."""
+    return value if isinstance(value, ParamPoly) else ParamPoly.const(value)
+
+
 def term_str(c, body: str) -> str:
     """One signed term ``c*body``; a coefficient with several terms is
     bracketed, and an empty body leaves the coefficient alone."""
@@ -351,10 +386,7 @@ class SpectralLaurent:
 
     @classmethod
     def const(cls, value) -> "SpectralLaurent":
-        if isinstance(value, ParamPoly):
-            p = value
-        else:
-            p = ParamPoly.const(value)
+        p = as_poly(value)
         return cls({(): p} if not p.is_zero() else {})
 
     @classmethod
@@ -365,7 +397,7 @@ class SpectralLaurent:
 
     @classmethod
     def monomial(cls, coeff, powers: dict) -> "SpectralLaurent":
-        p = coeff if isinstance(coeff, ParamPoly) else ParamPoly.const(coeff)
+        p = as_poly(coeff)
         if p.is_zero():
             return cls({})
         key = tuple(sorted((n, e) for n, e in powers.items() if e))

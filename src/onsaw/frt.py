@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import loop_algebra as la
-from .exactnum import ParamPoly, SpectralLaurent
+from .exactnum import ParamPoly, SpectralLaurent, as_poly
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
@@ -235,7 +235,7 @@ def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
 def _v_matrices(dim: int, eps) -> tuple:
     """V(x), V(x)^-1 and x V'(x) V(x)^-1 on the doubled lattice s^2 = x."""
     h = dim // 2
-    epsp = eps if isinstance(eps, ParamPoly) else ParamPoly.const(eps)
+    epsp = as_poly(eps)
     zero = ParamPoly.zero()
 
     def blank():

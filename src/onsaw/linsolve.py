@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import INVOLUTIVE
+from .exactnum import INVOLUTIVE, as_poly
 
 
 def poly_gcd(a, b):
@@ -116,8 +116,8 @@ class SparseEliminator:
 
 
 def matrix_rank(rows: list) -> int:
-    """Rank over Q(t) of sparse rows of ParamPoly entries in at most one
-    parameter t.
+    """Rank over Q(t) of sparse rows of coefficients (numbers or ParamPoly)
+    in at most one parameter t.
 
     Rows of constants are eliminated once.  Otherwise the rank is the
     largest rank of the rows evaluated at t = 0, 1, ..., r*D, with r the
@@ -126,6 +126,7 @@ def matrix_rank(rows: list) -> int:
     most r*D, so it survives at one of those points.  Several parameters, or
     an involutive one, raise ValueError.
     """
+    rows = [{k: as_poly(v) for k, v in row.items()} for row in rows]
     names = {n for row in rows for p in row.values() for m in p.terms for n, _ in m}
     if len(names) > 1 or names & INVOLUTIVE:
         raise ValueError(f"rank over the parameters {sorted(names)}")

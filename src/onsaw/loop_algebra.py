@@ -1,4 +1,4 @@
-"""The affine Lie algebra a_{N-1}^(1) as a sparse module over ParamPoly.
+"""The affine Lie algebra a_{N-1}^(1) as a sparse module over Q[parameters].
 
 Canonical basis symbols:
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import ParamPoly, _rational
 from .symcomb import SymbolCombination
 
 CENTRAL = ("c",)
@@ -41,7 +40,7 @@ def cartan(i: int, n: int):
 
 
 class LoopElement(SymbolCombination):
-    """Element of a_{N-1}^(1): sparse symbol -> ParamPoly map."""
+    """Element of a_{N-1}^(1): sparse symbol -> coefficient map."""
 
     __slots__ = ()
 
@@ -140,8 +139,8 @@ def _structure(dim: int, shape_a: tuple, shape_b: tuple) -> tuple:
     for i, j, _, fa in _as_e_terms(dim, shape_a + (1,)):
         for k, l, _, fb in _as_e_terms(dim, shape_b + (-1,)):
             _bracket_ee(ref, i, j, 1, k, l, -1, fa * fb)
-    w = _rational(ref.coeffs.pop(CENTRAL, ParamPoly.zero()).const_value())
-    terms = tuple((sym[:-1], _rational(c.const_value())) for sym, c in ref.coeffs.items())
+    w = ref.coeffs.pop(CENTRAL, 0)
+    terms = tuple((sym[:-1], c) for sym, c in ref.coeffs.items())
     entry = _STRUCTURE[(dim, shape_a, shape_b)] = (terms, w)
     return entry
 

@@ -139,7 +139,7 @@ def check_presentation_agreement(dim: int, levels: int) -> Report:
     report = Report("verify onsager", {"n": dim, "levels": levels})
     with timer(report):
         syms = onsager_basis(dim, levels)
-        units = {s: OnsagerElement(dim, {s: la.ParamPoly.one()}) for s in syms}
+        units = {s: OnsagerElement(dim, {s: 1}) for s in syms}
         embeds = {s: embed(units[s]) for s in syms}
         bad = None
         for sa in syms:

@@ -7,8 +7,9 @@ generator matrices living on different legs; its entries are maps
 (x-exponent, y-exponent) -> element.
 
 Both containers are agnostic about the element type: anything with
-__add__, __sub__, unary minus, .scale(ParamPoly) and .is_zero() works
-(LoopElement and OnsagerElement both do).
+__add__, __sub__, unary minus, .scale(coefficient) and .is_zero() works
+(LoopElement and OnsagerElement both do); a coefficient is an int, a
+Fraction or a ParamPoly, constant ones included.
 """
 
 from __future__ import annotations

@@ -1,22 +1,17 @@
 """Shared base for sparse linear combinations of basis symbols.
 
 Both the affine loop algebra and the Onsager algebra represent elements
-as a sparse map from canonical basis symbols to ParamPoly coefficients.
+as a sparse map from canonical basis symbols to coefficients, each kept
+in the plain form of ``exactnum.plain``.
 """
 
 from __future__ import annotations
 
-from .exactnum import ParamPoly, term_str
-
-
-def as_coeff(value) -> ParamPoly:
-    if isinstance(value, ParamPoly):
-        return value
-    return ParamPoly.const(value)
+from .exactnum import plain, term_str
 
 
 class SymbolCombination:
-    """Sparse map symbol -> ParamPoly over a rank-N algebra."""
+    """Sparse map symbol -> plain coefficient over a rank-N algebra."""
 
     __slots__ = ("dim", "coeffs")
 
@@ -36,8 +31,8 @@ class SymbolCombination:
         out = dict(self.coeffs)
         for sym, c in other.coeffs.items():
             if sym in out:
-                s = out[sym] + c
-                if s.is_zero():
+                s = plain(out[sym] + c)
+                if not s:
                     del out[sym]
                 else:
                     out[sym] = s
@@ -53,8 +48,8 @@ class SymbolCombination:
         out = dict(self.coeffs)
         for sym, c in other.coeffs.items():
             if sym in out:
-                s = out[sym] - c
-                if s.is_zero():
+                s = plain(out[sym] - c)
+                if not s:
                     del out[sym]
                 else:
                     out[sym] = s
@@ -64,26 +59,27 @@ class SymbolCombination:
 
     def scale(self, factor):
         """Multiply by an int, a Fraction or a ParamPoly."""
-        if factor.is_zero() if isinstance(factor, ParamPoly) else not factor:
+        factor = plain(factor)
+        if not factor:
             return type(self)(self.dim, {})
         out = {}
         for sym, c in self.coeffs.items():
-            p = c * factor
-            if not p.is_zero():
+            p = plain(c * factor)
+            if p:
                 out[sym] = p
         return type(self)(self.dim, out)
 
     def add_term(self, sym, coeff) -> None:
         """In-place accumulation while an element is being assembled."""
-        c = as_coeff(coeff)
-        if c.is_zero():
+        c = plain(coeff)
+        if not c:
             return
         cur = self.coeffs.get(sym)
         if cur is None:
             self.coeffs[sym] = c
         else:
-            s = cur + c
-            if s.is_zero():
+            s = plain(cur + c)
+            if not s:
                 del self.coeffs[sym]
             else:
                 self.coeffs[sym] = s

@@ -247,6 +247,12 @@ def test_build_B_rejects_missing_word():
         aw.build_B(t)
 
 
+@pytest.mark.parametrize("rank", [2, 5])
+def test_check_aw_rejects_rank_without_table(rank):
+    with pytest.raises(ValueError, match="ranks 3 and 4 only"):
+        aw.check_aw(rank)
+
+
 def test_ansatz_word_counts():
     # the distinct words over all entries and exponents of the ansatz
     for rank, count in ((3, 8), (4, 15), (5, 24)):
