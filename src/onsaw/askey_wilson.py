@@ -1,6 +1,6 @@
 """Higher-rank classical Askey-Wilson quotients.
 
-Finitely presented Lie algebras over ParamPoly(alpha): explicit bracket
+Finitely presented Lie algebras over Q[alpha]: explicit bracket
 tables for ranks 3 and 4, and tables extracted for general N by imposing
 the reflection relation on a word ansatz.  Every table, explicit or
 extracted, gets its generating matrix B(x) (numerators over the global
@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, as_poly,
-                       parse_param_poly, plain)
+from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, parse_param_poly,
+                       plain, terms_of)
 from .linsolve import SparseEliminator, matrix_rank
 from .onsager import reflection_rhs
 from .report import Report, timer
@@ -74,7 +74,7 @@ class StructTable:
         self.index = {name: k for k, name in enumerate(basis)}
         self.gen_indices = list(gen_indices)
         self.words = list(words)  # per basis: (rational, Word) or None
-        self.table: dict = {}     # (ia, ib) with ia < ib -> {ic: ParamPoly}
+        self.table: dict = {}     # (ia, ib) with ia < ib -> {ic: plain coefficient}
 
     @property
     def dim(self) -> int:
@@ -91,7 +91,7 @@ class StructTable:
         return self.unit(self.gen_indices[i - 1])
 
     def set_bracket(self, ia: int, ib: int, vec: dict) -> None:
-        vec = {k: as_poly(v) for k, v in vec.items() if v}
+        vec = {k: plain(v) for k, v in vec.items() if v}
         if ia == ib:
             if vec:
                 raise ValueError(f"[x,x] != 0 at basis {self.basis[ia]}")
@@ -148,8 +148,7 @@ def _contraction(t: StructTable) -> dict:
     stored for both orders with the sign of antisymmetry."""
     out = {}
     for (ia, ib), vec in t.table.items():
-        terms = [(ic, [(m, _rational(q)) for m, q in p.terms.items()])
-                 for ic, p in vec.items()]
+        terms = [(ic, list(terms_of(p).items())) for ic, p in vec.items()]
         out[(ia, ib)] = terms
         out[(ib, ia)] = [(ic, [(m, -q) for m, q in ts]) for ic, ts in terms]
     return out
@@ -202,22 +201,21 @@ def aw3_table() -> StructTable:
         (1, Word((1, 2, 3))), (1, Word((2, 3, 1))),
     ]
     t = StructTable(3, basis, [0, 1, 2], words)
-    one = ParamPoly.one()
 
     def g(j):  # g3 resolved into the basis
         if j == 3:
-            return {t.index["g1"]: -one, t.index["g2"]: -one}
-        return {t.index[f"g{j}"]: one}
+            return {t.index["g1"]: -1, t.index["g2"]: -1}
+        return {t.index[f"g{j}"]: 1}
 
     def vec(pairs):
         out: dict = {}
         for name_or_map, c in pairs:
             if isinstance(name_or_map, dict):
                 for k, w in name_or_map.items():
-                    out[k] = out.get(k, ParamPoly.zero()) + w * c
+                    out[k] = out.get(k, 0) + w * c
             else:
                 k = t.index[name_or_map]
-                out[k] = out.get(k, ParamPoly.zero()) + ParamPoly.const(1) * c
+                out[k] = out.get(k, 0) + c
         return out
 
     for i in range(1, 4):
@@ -235,7 +233,7 @@ def aw3_table() -> StructTable:
             for k in range(1, 4):
                 e = _eps3(i, j, k)
                 if e:
-                    out[t.index[f"f{k}"]] = ParamPoly.const(e)
+                    out[t.index[f"f{k}"]] = e
                     out[t.index[f"e{k}"]] = ALPHA * (-e)
             t.set_bracket(t.index[f"f{i}"], t.index[f"f{j}"], out)
         for j in (1, 2):
@@ -243,13 +241,13 @@ def aw3_table() -> StructTable:
             d = 3 if i == j else 0
             out = {
                 t.index[f"e{i}"]: ALPHA * (1 - d),
-                t.index[f"f{i}"]: ParamPoly.const(-2 + 2 * d),
+                t.index[f"f{i}"]: -2 + 2 * d,
             }
             t.set_bracket(t.index[f"e{i}"], t.index[f"g{j}"], out)
             # [f_i, g_j] = -alpha f_i - 2 e_i + 3 d_ij (alpha f_i + 2 e_i)
             out = {
                 t.index[f"f{i}"]: ALPHA * (-1 + d),
-                t.index[f"e{i}"]: ParamPoly.const(-2 + 2 * d),
+                t.index[f"e{i}"]: -2 + 2 * d,
             }
             t.set_bracket(t.index[f"f{i}"], t.index[f"g{j}"], out)
     t.set_bracket(t.index["g1"], t.index["g2"], {})
@@ -272,24 +270,22 @@ def aw4_table() -> StructTable:
     def m(i):  # mod-4 into 1..4
         return (i - 1) % 4 + 1
 
-    one = ParamPoly.one()
-
     def h(j):
         j = m(j)
         if j == 4:
-            return {t.index[f"h{k}"]: -one for k in (1, 2, 3)}
-        return {t.index[f"h{j}"]: one}
+            return {t.index[f"h{k}"]: -1 for k in (1, 2, 3)}
+        return {t.index[f"h{j}"]: 1}
 
     def base(name, i):
-        return {t.index[f"{name}{m(i)}"]: one}
+        return {t.index[f"{name}{m(i)}"]: 1}
 
     def add(vec, other, c):
         for k, w in other.items():
-            cur = vec.get(k, ParamPoly.zero()) + w * c
-            if cur.is_zero():
-                vec.pop(k, None)
-            else:
+            cur = vec.get(k, 0) + w * c
+            if cur:
                 vec[k] = cur
+            else:
+                vec.pop(k, None)
         return vec
 
     pending = []  # (ia, ib, vec) gathered from every displayed instance
@@ -652,11 +648,11 @@ def extract_structure_constants(rank: int):
         num = _num_matrix(rank, entries, lambda: WordElement(rank, {}))
         # right-hand side: linear in the words; left-hand side: bilinear in
         # the unknown brackets of word pairs.  Neither the word coefficients
-        # nor the clearing multiplier carries alpha, so the rows are rational.
+        # nor the clearing multiplier carries alpha, so the rows are rational
+        # (``add_row`` rejects any other coefficient).
         clearing, r12c, r21c = cleared_rbar_pair(rank)
         rhs = reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))
-        scal = [(ex, ey, _rational(sc.const_value()))
-                for ex, ey, sc in laurent_xy_terms(clearing, "x", "y")]
+        scal = laurent_xy_terms(clearing, "x", "y")
         flat = {ij: [(e, widx[w], c)
                      for e, wel in entry.items() for w, c in wel.coeffs.items()]
                 for ij, entry in entries.items()}
@@ -688,7 +684,7 @@ def extract_structure_constants(rank: int):
                             rvec = rhs_ser.get(mkey)
                             rdict = {}
                             if rvec is not None:
-                                rdict = {widx[w]: as_poly(c) for w, c in rvec.coeffs.items()}
+                                rdict = {widx[w]: c for w, c in rvec.coeffs.items()}
                             elim.add_row(lhs_grid.get(mkey, {}), rdict)
                             rows += 1
         all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
@@ -704,7 +700,7 @@ def extract_structure_constants(rank: int):
         report.add("all brackets determined", det,
                    None if det else f"free: {result.free_cols} entangled: {result.entangled}")
         # holds by construction: every pivot is a unit of Q, so back-substitution
-        # divides by nothing and each bracket coefficient is a ParamPoly
+        # divides by nothing and each bracket coefficient is a polynomial in alpha
         report.add("polynomial structure constants", True)
         if result.inconsistent or not det:
             return None, report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import onsager as on
-from .exactnum import ParamPoly, SpectralLaurent, as_poly
+from .exactnum import ParamPoly, SpectralLaurent, terms_of
 from .report import Report, timer
 from .rmatrix import TensorOperator, parity_sign, rbar_closed
 
@@ -170,16 +170,15 @@ def proportionality(a: on.OnsagerElement, b: on.OnsagerElement):
     if b.is_zero():
         return Fraction(0) if a.is_zero() else None
     sym = next(iter(sorted(b.coeffs)))
-    pb = as_poly(b.coeffs[sym])
     pa = a.coeffs.get(sym)
     if pa is None:
         return None
-    pa = as_poly(pa)
-    mono = next(iter(sorted(pb.terms)))
-    ca = pa.terms.get(mono)
+    tb = terms_of(b.coeffs[sym])
+    mono = min(tb)
+    ca = terms_of(pa).get(mono)
     if ca is None:
         return None
-    q = Fraction(ca) / pb.terms[mono]
+    q = Fraction(ca) / tb[mono]
     return q if (a - b.scale(q)).is_zero() else None
 
 
@@ -241,7 +240,7 @@ def check_charge_commutativity(dim: int, max_order: int) -> Report:
         report.add("pairwise-commutativity", bad is None, bad)
         bad = next((f"I_{ch.order} coefficient not linear in parameters"
                     for ch in charges for coeff in ch.value.coeffs.values()
-                    for mono in as_poly(coeff).terms if sum(e for _, e in mono) != 1), None)
+                    for mono in terms_of(coeff) if sum(e for _, e in mono) != 1), None)
         report.add("parameter-linearity", bad is None, bad)
     return report
 

@@ -8,16 +8,21 @@ Three layers, all exact and immutable:
     coefficients, each stored as an ``int`` when integral and as a
     ``Fraction`` (denominator > 1) otherwise,
   * ``SpectralLaurent`` -- sparse Laurent polynomials in spectral
-    variables (x, y, x1, ...) with ParamPoly coefficients.
+    variables (x, y, x1, ...) with coefficients in Q[parameters].
 
 Both polynomial types are their terms: a variable belongs to a
 polynomial when it occurs in one of its terms.
 
-A coefficient of a linear combination (``symcomb``) is stored plain: an
-``int``, a ``Fraction`` with denominator > 1, or a ``ParamPoly`` in which
-some parameter occurs.  ``plain`` is the one normaliser; a constant
-never stays a ``ParamPoly``, so products of constants are products of
-numbers.  ``as_poly`` wraps a coefficient back for readers of its terms.
+Every coefficient, in every container (``SpectralLaurent`` terms, linear
+combinations of ``symcomb``, bracket tables, elimination right-hand
+sides), is plain: an ``int``, a ``Fraction`` with denominator > 1, or a
+``ParamPoly`` in which some parameter occurs.  ``ParamPoly`` arithmetic
+and ``parse_param_poly`` return that form, so a constant never stays a
+``ParamPoly`` and products of constants are products of numbers.  A sum
+or product of two numbers is Python's own (``Fraction(1, 2) * 2`` is
+``Fraction(2, 1)``), so containers pass it through ``plain``, the one
+normaliser.  ``terms_of`` reads any coefficient as its monomial ->
+rational map.
 
 No quotient is ever a value: every identity is multiplied through by a
 declared clearing polynomial, and a division is taken only where it is
@@ -83,40 +88,18 @@ class ParamPoly:
     """Sparse polynomial in named formal parameters with exact rational
     coefficients, stored as ``int`` when integral and ``Fraction`` otherwise.
 
-    Every ``ParamPoly`` is built in this module, which keeps that form."""
+    Every ``ParamPoly`` is built in this module, which keeps that form, and
+    its arithmetic returns the plain value of the result: the number it
+    equals when no parameter is left."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
         self.terms = terms
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, value) -> "ParamPoly":
-        if type(value) is not int:
-            if isinstance(value, Fraction):
-                value = _rational(value)
-            elif isinstance(value, int):
-                value = int(value)  # a bool is stored as the int it equals
-            else:
-                raise TypeError(
-                    f"a coefficient is an int or a Fraction, not {type(value).__name__}")
-        return cls({(): value} if value else {})
-
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
         return cls({((name, 1),): 1})
-
-    @classmethod
-    def zero(cls) -> "ParamPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "ParamPoly":
-        return cls({(): 1})
-
-    # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,32 +107,23 @@ class ParamPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_const(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def const_value(self):
-        if not self.terms:
-            return 0
-        if not self.is_const():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[()]
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
-    def _coerce(other) -> "ParamPoly":
+    def _coerce(other):
+        """The terms of an exact operand, or NotImplemented."""
         if isinstance(other, ParamPoly):
-            return other
+            return other.terms
         if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other)
+            return terms_of(other)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ot = self._coerce(other)
+        if ot is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
+        for m, c in ot.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = c
@@ -159,19 +133,19 @@ class ParamPoly:
                 terms[m] = _rational(s)
             else:
                 del terms[m]
-        return ParamPoly(terms)
+        return _from_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.terms.items()})
+        return _from_terms({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ot = self._coerce(other)
+        if ot is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
+        for m, c in ot.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = -c
@@ -181,21 +155,21 @@ class ParamPoly:
                 terms[m] = _rational(s)
             else:
                 del terms[m]
-        return ParamPoly(terms)
+        return _from_terms(terms)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, q) -> "ParamPoly":
+    def _scaled(self, q):
         """self * q for a rational scalar q."""
         if not q:
-            return ParamPoly({})
+            return 0
         q = _rational(q)
         if q == 1:
-            return ParamPoly(dict(self.terms))
+            return _from_terms(self.terms)
         if q == -1:
-            return ParamPoly({m: -c for m, c in self.terms.items()})
-        return ParamPoly({m: _rational(c * q) for m, c in self.terms.items()})
+            return -self
+        return _from_terms({m: _rational(c * q) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         # constant operands scale the terms directly
@@ -209,21 +183,21 @@ class ParamPoly:
             return NotImplemented
         terms: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            for mb, cb in ot.items():
                 m = _mono_mul(ma, mb)
                 s = terms.get(m, 0) + ca * cb
                 if s:
                     terms[m] = _rational(s)
                 else:
                     terms.pop(m, None)
-        return ParamPoly(terms)
+        return _from_terms(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = ParamPoly.one()
+        out = 1
         base = self
         while k:
             if k & 1:
@@ -233,22 +207,24 @@ class ParamPoly:
         return out
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ot = self._coerce(other)
+        if ot is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == ot
 
     # -- exact division ----------------------------------------------------
 
-    def exact_div(self, den: "ParamPoly") -> "ParamPoly":
-        """Divide by ``den`` exactly; raise ExactDivisionError on remainder."""
-        if den.is_zero():
+    def exact_div(self, den):
+        """Divide by ``den`` (a ParamPoly or a number) exactly; raise
+        ExactDivisionError on remainder."""
+        dt = terms_of(den)
+        if not dt:
             raise ZeroDivisionError("division by zero polynomial")
-        if den.is_const():
-            q = den.terms[()]
-            return ParamPoly({m: _rational(Fraction(c) / q) for m, c in self.terms.items()})
+        if len(dt) == 1 and () in dt:
+            q = dt[()]
+            return _from_terms({m: _rational(Fraction(c) / q) for m, c in self.terms.items()})
         allvars = sorted({n for m in self.terms for n, _ in m}
-                         | {n for m in den.terms for n, _ in m})
+                         | {n for m in dt for n, _ in m})
 
         def key(mono):
             d = dict(mono)
@@ -256,8 +232,8 @@ class ParamPoly:
 
         rem = dict(self.terms)
         quot: dict = {}
-        lt_den = max(den.terms, key=key)
-        c_den = den.terms[lt_den]
+        lt_den = max(dt, key=key)
+        c_den = dt[lt_den]
         d_den = dict(lt_den)
         while rem:
             lt = max(rem, key=key)
@@ -272,14 +248,14 @@ class ParamPoly:
             qmono = _mono_normal(qm.items())
             qc = Fraction(rem[lt]) / c_den
             quot[qmono] = quot.get(qmono, 0) + qc
-            for m, c in den.terms.items():
+            for m, c in dt.items():
                 mm = _mono_mul(qmono, m)
                 s = rem.get(mm, 0) - qc * c
                 if s:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return ParamPoly({m: _rational(c) for m, c in quot.items() if c})
+        return _from_terms({m: _rational(c) for m, c in quot.items() if c})
 
     # -- rendering ---------------------------------------------------------
 
@@ -287,6 +263,14 @@ class ParamPoly:
         return render_terms(self.terms)
 
     __repr__ = __str__
+
+
+def _from_terms(terms: dict):
+    """The plain value of a monomial -> stored-rational map: its number
+    when no parameter occurs, else a ParamPoly over it."""
+    if len(terms) > 1 or (terms and () not in terms):
+        return ParamPoly(terms)
+    return terms.get((), 0)
 
 
 def plain(value):
@@ -298,11 +282,9 @@ def plain(value):
         return value
     if t is ParamPoly:
         terms = value.terms
-        if not terms:
-            return 0
-        if len(terms) == 1 and () in terms:
-            return terms[()]
-        return value
+        if len(terms) > 1 or (terms and () not in terms):
+            return value
+        return terms.get((), 0)
     if t is Fraction:
         return _rational(value)
     if isinstance(value, int):
@@ -310,9 +292,20 @@ def plain(value):
     raise TypeError(f"a coefficient is an int, a Fraction or a ParamPoly, not {t.__name__}")
 
 
-def as_poly(value) -> ParamPoly:
-    """The ParamPoly a coefficient equals, for a reader of its terms."""
-    return value if isinstance(value, ParamPoly) else ParamPoly.const(value)
+def terms_of(value) -> dict:
+    """The monomial -> rational map of a coefficient, for its readers: a
+    ParamPoly's own terms (not to be written to), ``{(): c}`` for a nonzero
+    number c and ``{}`` for 0."""
+    if isinstance(value, ParamPoly):
+        return value.terms
+    c = plain(value)
+    return {(): c} if c else {}
+
+
+def coeff_key(value):
+    """An exact, hashable key of a plain coefficient: a number is itself
+    and a ParamPoly its sorted terms, so equal values have equal keys."""
+    return tuple(sorted(value.terms.items())) if isinstance(value, ParamPoly) else value
 
 
 def term_str(c, body: str) -> str:
@@ -340,11 +333,12 @@ def render_terms(terms: dict) -> str:
     return "".join(chunks)
 
 
-def parse_param_poly(text: str) -> ParamPoly:
-    """Parse the canonical rendering produced by ``ParamPoly.__str__``."""
+def parse_param_poly(text: str):
+    """Parse the canonical rendering produced by ``ParamPoly.__str__`` into
+    its plain value."""
     text = text.strip()
     if text == "0":
-        return ParamPoly({})
+        return 0
     import re
 
     terms: dict = {}
@@ -371,37 +365,38 @@ def parse_param_poly(text: str) -> ParamPoly:
             terms[key] = _rational(c)
         else:
             terms.pop(key, None)
-    return ParamPoly(terms)
+    return _from_terms(terms)
 
 
 class SpectralLaurent:
-    """Sparse Laurent polynomial in spectral variables over ParamPoly."""
+    """Sparse Laurent polynomial in spectral variables with plain
+    coefficients in Q[parameters]."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = terms  # Monomial (int exponents, any sign) -> ParamPoly
+        self.terms = terms  # Monomial (int exponents, any sign) -> plain coefficient
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value) -> "SpectralLaurent":
-        p = as_poly(value)
-        return cls({(): p} if not p.is_zero() else {})
+        c = plain(value)
+        return cls({(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> "SpectralLaurent":
         if exp == 0:
             return cls.const(1)
-        return cls({((name, exp),): ParamPoly.one()})
+        return cls({((name, exp),): 1})
 
     @classmethod
     def monomial(cls, coeff, powers: dict) -> "SpectralLaurent":
-        p = as_poly(coeff)
-        if p.is_zero():
+        c = plain(coeff)
+        if not c:
             return cls({})
         key = tuple(sorted((n, e) for n, e in powers.items() if e))
-        return cls({key: p})
+        return cls({key: c})
 
     @classmethod
     def zero(cls) -> "SpectralLaurent":
@@ -433,11 +428,11 @@ class SpectralLaurent:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             if m in terms:
-                s = terms[m] + c
-                if s.is_zero():
-                    del terms[m]
-                else:
+                s = plain(terms[m] + c)
+                if s:
                     terms[m] = s
+                else:
+                    del terms[m]
             else:
                 terms[m] = c
         return SpectralLaurent(terms)
@@ -457,11 +452,11 @@ class SpectralLaurent:
             if s is None:
                 terms[m] = -c
                 continue
-            s = s - c
-            if s.is_zero():
-                del terms[m]
-            else:
+            s = plain(s - c)
+            if s:
                 terms[m] = s
+            else:
+                del terms[m]
         return SpectralLaurent(terms)
 
     def __rsub__(self, other):
@@ -485,14 +480,14 @@ class SpectralLaurent:
                     key = tuple(sorted(m.items()))
                 else:
                     key = ma or mb
-                c = ca * cb
+                c = plain(ca * cb)
                 if key in terms:
-                    s = terms[key] + c
-                    if s.is_zero():
-                        del terms[key]
-                    else:
+                    s = plain(terms[key] + c)
+                    if s:
                         terms[key] = s
-                elif not c.is_zero():
+                    else:
+                        del terms[key]
+                elif c:
                     terms[key] = c
         return SpectralLaurent(terms)
 
@@ -519,9 +514,9 @@ class SpectralLaurent:
                 d[var] = e - 1
             key = tuple(sorted(d.items()))
             s = terms.get(key)
-            val = c * e
-            terms[key] = val if s is None else s + val
-        return SpectralLaurent({m: c for m, c in terms.items() if not c.is_zero()})
+            val = plain(c * e)
+            terms[key] = val if s is None else plain(s + val)
+        return SpectralLaurent({m: c for m, c in terms.items() if c})
 
     def substitute(self, var: str, sign: int, powers: dict) -> "SpectralLaurent":
         """Map ``var -> sign * prod(name**e for name, e in powers)`` exactly.
@@ -548,11 +543,11 @@ class SpectralLaurent:
                     c = -c
             key = tuple(sorted(d.items()))
             if key in terms:
-                s = terms[key] + c
-                if s.is_zero():
-                    del terms[key]
-                else:
+                s = plain(terms[key] + c)
+                if s:
                     terms[key] = s
+                else:
+                    del terms[key]
             else:
                 terms[key] = c
         return SpectralLaurent(terms)
@@ -585,7 +580,7 @@ def _flatten(p: SpectralLaurent, svars: frozenset) -> ParamPoly:
     for m, c in p.terms.items():
         d = dict(m)
         spec = [(v, d.get(v, 0) - e) for v, e in low.items() if d.get(v, 0) != e]
-        for pm, q in c.terms.items():
+        for pm, q in terms_of(c).items():
             if any(name in svars for name, _ in pm):
                 raise ValueError(f"a parameter of {c} is named like a spectral variable")
             terms[tuple(sorted(spec + list(pm)))] = q
@@ -608,7 +603,7 @@ def laurent_exact_div(num: SpectralLaurent, den: SpectralLaurent) -> SpectralLau
     q = _flatten(num, svars).exact_div(_flatten(den, svars))
     back = {v: num.min_degree(v) - den.min_degree(v) for v in svars}
     split: dict = {}
-    for m, c in q.terms.items():
+    for m, c in terms_of(q).items():
         spec = dict(back)
         params = []
         for name, e in m:
@@ -618,4 +613,4 @@ def laurent_exact_div(num: SpectralLaurent, den: SpectralLaurent) -> SpectralLau
                 params.append((name, e))
         key = tuple(sorted((v, e) for v, e in spec.items() if e))
         split.setdefault(key, {})[tuple(params)] = c
-    return SpectralLaurent({k: ParamPoly(t) for k, t in split.items()})
+    return SpectralLaurent({k: _from_terms(t) for k, t in split.items()})

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import loop_algebra as la
-from .exactnum import ParamPoly, SpectralLaurent, as_poly
+from .exactnum import ParamPoly, SpectralLaurent, plain
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
@@ -187,22 +187,22 @@ def theta1_matrix_image(t_opposite: GeneratorMatrix) -> GeneratorMatrix:
 
 
 def _smat_mul(a: dict, b: dict, dim: int) -> dict:
-    """Product of scalar s-exponent series matrices {exp -> NxN ParamPoly}."""
+    """Product of scalar s-exponent series matrices {exp -> NxN plain coefficient}."""
     out: dict = {}
     for ea, ma in a.items():
         for eb, mb in b.items():
             e = ea + eb
-            tgt = out.setdefault(e, [[ParamPoly.zero() for _ in range(dim)] for _ in range(dim)])
+            tgt = out.setdefault(e, [[0] * dim for _ in range(dim)])
             for i in range(dim):
                 row = ma[i]
                 for k in range(dim):
                     c = row[k]
-                    if c.is_zero():
+                    if not c:
                         continue
                     for j in range(dim):
                         w = mb[k][j]
-                        if not w.is_zero():
-                            tgt[i][j] = tgt[i][j] + c * w
+                        if w:
+                            tgt[i][j] = plain(tgt[i][j] + c * w)
     return out
 
 
@@ -224,7 +224,7 @@ def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
                         else:
                             c = ms[k][j]
                             v = mg[i][k]
-                        if not c.is_zero() and not v.is_zero():
+                        if c and not v.is_zero():
                             tgt[i][j] = tgt[i][j] + v.scale(c)
     # drop all-zero exponent slices for cleanliness
     for e in [e for e, m in out.coeffs.items() if all(v.is_zero() for r in m for v in r)]:
@@ -235,24 +235,22 @@ def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
 def _v_matrices(dim: int, eps) -> tuple:
     """V(x), V(x)^-1 and x V'(x) V(x)^-1 on the doubled lattice s^2 = x."""
     h = dim // 2
-    epsp = as_poly(eps)
-    zero = ParamPoly.zero()
 
     def blank():
-        return [[zero for _ in range(dim)] for _ in range(dim)]
+        return [[0] * dim for _ in range(dim)]
 
     v_lo, v_hi = blank(), blank()
     for j in range(1, h + 1):
-        v_lo[j - 1][h + j - 1] = ParamPoly.one()       # (1/sqrt x) E_{j, h+j}
-        v_hi[h + j - 1][j - 1] = epsp                  # eps sqrt(x) E_{h+j, j}
+        v_lo[j - 1][h + j - 1] = 1       # (1/sqrt x) E_{j, h+j}
+        v_hi[h + j - 1][j - 1] = eps     # eps sqrt(x) E_{h+j, j}
     v = {-1: v_lo, 1: v_hi}
     # V^2 = eps * Id, so V^-1 = eps * V
     vinv = {
-        e: [[c * epsp for c in row] for row in m] for e, m in v.items()
+        e: [[plain(c * eps) for c in row] for row in m] for e, m in v.items()
     }
     # derivative in x on the s-lattice: s^e -> (e/2) s^(e-2); times x = s^2 is +2
     xvp = {
-        e: [[c * Fraction(e, 2) for c in row] for row in m]
+        e: [[plain(c * Fraction(e, 2)) for c in row] for row in m]
         for e, m in v.items()
     }
     xvp_vinv = _smat_mul(xvp, vinv, dim)
@@ -275,7 +273,7 @@ def theta2_matrix_image(t_opposite: GeneratorMatrix, sign: int, eps) -> Generato
     cterm = GeneratorMatrix(dim)
     for e, m in xvp_vinv.items():
         cterm.coeffs[e] = [
-            [la.central(dim, c).scale(-sign) if not c.is_zero() else la.zero(dim) for c in row]
+            [la.central(dim, c).scale(-sign) if c else la.zero(dim) for c in row]
             for row in m
         ]
     img = img + cterm

@@ -2,10 +2,12 @@
 
 Coefficient rows are sparse maps column -> rational (int or Fraction); a
 parameter in a coefficient is rejected.  The right-hand side of a row is a
-sparse vector index -> ParamPoly, so parameters such as alpha enter only
-there and are carried along by rational scaling.  Every pivot row is
-normalised to pivot 1, so back-substitution divides by nothing and each
-solution component is a ParamPoly.  No gcd is taken anywhere.
+sparse vector index -> plain coefficient (``exactnum.plain``), so
+parameters such as alpha enter only there and are carried along by
+rational scaling.  Every pivot row is normalised to pivot 1, so
+back-substitution divides by nothing and each solution component is a
+plain polynomial in the parameters.  One kernel, ``_sub``, updates both
+sides of a row.  No gcd is taken anywhere.
 
 A row equal to one already spanned (it became a pivot or reduced to zero)
 is skipped: pivot rows never change once inserted, so a second copy takes
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import INVOLUTIVE, as_poly
+from .exactnum import INVOLUTIVE, coeff_key, plain, terms_of
 
 
 def poly_gcd(a, b):
@@ -28,31 +30,21 @@ def poly_gcd(a, b):
 
 class EliminationResult:
     def __init__(self, solutions, free_cols, inconsistent, entangled=()):
-        self.solutions = solutions      # col -> {rhs index -> ParamPoly}
+        self.solutions = solutions      # col -> {rhs index -> plain coefficient}
         self.free_cols = free_cols      # columns never pinned by a pivot
         self.inconsistent = inconsistent  # list of residual rhs vectors
         self.entangled = list(entangled)  # pivots depending on free columns
 
 
-def _sub_rational(row: dict, scale, prow: dict) -> None:
-    """row -= scale * prow in place over rationals, dropping cancellations."""
+def _sub(row: dict, scale, prow: dict) -> None:
+    """row -= scale * prow in place for a rational scale, dropping
+    cancellations; entries stay plain."""
     for k, v in prow.items():
-        s = row.get(k, 0) - v * scale
+        s = plain(row.get(k, 0) - v * scale)
         if s:
             row[k] = s
         else:
             del row[k]
-
-
-def _sub_poly(row: dict, scale, prow: dict) -> None:
-    """row -= scale * prow in place over ParamPoly, dropping cancellations."""
-    for k, v in prow.items():
-        cur = row.get(k)
-        s = v * -scale if cur is None else cur - v * scale
-        if s.is_zero():
-            del row[k]
-        else:
-            row[k] = s
 
 
 class SparseEliminator:
@@ -67,11 +59,11 @@ class SparseEliminator:
         for v in coeffs.values():
             if not isinstance(v, (int, Fraction)):
                 raise TypeError(f"coefficient {v} is not rational")
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        rhs = {k: p for k, p in rhs.items() if not p.is_zero()}
+        coeffs = {k: plain(v) for k, v in coeffs.items() if v}
+        rhs = {k: plain(p) for k, p in rhs.items() if p}
         # sorted tuples, not frozensets: the same exact key in half the memory
         key = (tuple(sorted(coeffs.items())),
-               tuple(sorted((k, tuple(sorted(p.terms.items()))) for k, p in rhs.items())))
+               tuple(sorted((k, coeff_key(p)) for k, p in rhs.items())))
         if key in self.spanned:
             return
         while coeffs:
@@ -81,14 +73,14 @@ class SparseEliminator:
                 q = coeffs.pop(col)
                 if q != 1:
                     inv = 1 / Fraction(q)
-                    coeffs = {k: v * inv for k, v in coeffs.items()}
-                    rhs = {k: p * inv for k, p in rhs.items()}
+                    coeffs = {k: plain(v * inv) for k, v in coeffs.items()}
+                    rhs = {k: plain(p * inv) for k, p in rhs.items()}
                 self.pivots[col] = (coeffs, rhs)
                 self.spanned.add(key)
                 return
             b = coeffs.pop(col)
-            _sub_rational(coeffs, b, piv[0])
-            _sub_poly(rhs, b, piv[1])
+            _sub(coeffs, b, piv[0])
+            _sub(rhs, b, piv[1])
         if rhs:
             self.inconsistent.append(rhs)
         else:
@@ -98,7 +90,7 @@ class SparseEliminator:
         return len(self.pivots)
 
     def solve(self, all_cols) -> EliminationResult:
-        """Back-substitute; each solution component is a ParamPoly."""
+        """Back-substitute; each solution component is a plain coefficient."""
         self.spanned.clear()  # the keys serve add_row only; free them
         free = {c for c in all_cols if c not in self.pivots}
         sols: dict = {}
@@ -110,7 +102,7 @@ class SparseEliminator:
                 continue
             acc = dict(rhs)
             for other, w in coeffs.items():
-                _sub_poly(acc, w, sols[other])
+                _sub(acc, w, sols[other])
             sols[col] = acc
         return EliminationResult(sols, sorted(free), self.inconsistent, entangled)
 
@@ -126,18 +118,18 @@ def matrix_rank(rows: list) -> int:
     most r*D, so it survives at one of those points.  Several parameters, or
     an involutive one, raise ValueError.
     """
-    rows = [{k: as_poly(v) for k, v in row.items()} for row in rows]
-    names = {n for row in rows for p in row.values() for m in p.terms for n, _ in m}
+    rows = [{k: terms_of(v) for k, v in row.items()} for row in rows]
+    names = {n for row in rows for p in row.values() for m in p for n, _ in m}
     if len(names) > 1 or names & INVOLUTIVE:
         raise ValueError(f"rank over the parameters {sorted(names)}")
-    deg = max((e for row in rows for p in row.values() for m in p.terms for _, e in m),
+    deg = max((e for row in rows for p in row.values() for m in p for _, e in m),
               default=0)
     cols = len({k for row in rows for k in row})
     best = 0
     for t in range(cols * deg + 1):
         elim = SparseEliminator()
         for row in rows:
-            elim.add_row({k: sum(c * t ** sum(e for _, e in m) for m, c in p.terms.items())
+            elim.add_row({k: sum(c * t ** sum(e for _, e in m) for m, c in p.items())
                           for k, p in row.items()}, {})
         best = max(best, elim.rank())
     return best

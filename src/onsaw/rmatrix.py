@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import SpectralLaurent, laurent_exact_div
+from .exactnum import SpectralLaurent, coeff_key, laurent_exact_div
 from .report import Check, Report, mono_str, timer
 
 
@@ -329,7 +329,7 @@ class TensorOperator:
 def _value_key(v: SpectralLaurent) -> frozenset:
     """An exact, hashable key of ``v``'s value: equal keys mean equal values.
     A key that missed an equal value would only cost a repeated product."""
-    return frozenset((m, frozenset(c.terms.items())) for m, c in v.terms.items())
+    return frozenset((m, coeff_key(c)) for m, c in v.terms.items())
 
 
 def _acc(rows: dict, r: int, c: int, v: SpectralLaurent) -> None:
@@ -472,8 +472,9 @@ def skew_residual(dim: int, r12=None) -> TensorOperator:
 
 def cybe_residual(r13: TensorOperator, r23: TensorOperator, r12: TensorOperator) -> TensorOperator:
     """[r13, r23] - [r13 + r23, r12] over the clearing D12 D13 D23."""
+    # -[A, B] is formed as [B, A], so no commutator is negated entry by entry
     return _over_sum(r12.den * r13.den * r23.den,
-                     r13.commutator(r23), -r13.commutator(r12), -r23.commutator(r12))
+                     r13.commutator(r23), r12.commutator(r13), r12.commutator(r23))
 
 
 def cybe_operators(dim: int):
@@ -487,7 +488,7 @@ def ns_cybe_residual(r13, r23, r21, r12) -> TensorOperator:
     """[r13, r23] - [r21, r13] - [r23, r12] over the clearing D12 D13 D23
     (r21's denominator is D12 up to sign)."""
     return _over_sum(r12.den * r13.den * r23.den,
-                     r13.commutator(r23), -r21.commutator(r13), -r23.commutator(r12))
+                     r13.commutator(r23), r13.commutator(r21), r12.commutator(r23))
 
 
 def ns_cybe_operators(dim: int, builder=rbar_closed):

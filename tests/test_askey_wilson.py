@@ -80,7 +80,7 @@ def test_flat_jacobi_agrees_with_reference_on_mutants(make):
         for ic in sorted(vec):
             for shift in (1, -1, 2, -2):
                 changed = vec[ic] + shift
-                t.table[key] = {**vec, ic: changed} if not changed.is_zero() else {
+                t.table[key] = {**vec, ic: changed} if changed else {
                     k: v for k, v in vec.items() if k != ic}
                 rep = aw.check_jacobi(t)
                 want = _jacobi_reference(t)

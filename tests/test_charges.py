@@ -180,7 +180,7 @@ def test_charge_commutativity_negative_control():
     # flip the sign of the ks-coefficient terms inside I_1 only
     flipped = on.zero(2)
     for sym, coeff in i1.coeffs.items():
-        newc = ParamPoly.zero()
+        newc = 0
         for mono, q in coeff.terms.items():
             if any(name.startswith("ks") for name, _ in mono):
                 newc = newc + ParamPoly({mono: -q})
