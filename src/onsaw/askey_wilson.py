@@ -395,21 +395,6 @@ def aw_denominator(rank: int, v: str = "x") -> SpectralLaurent:
             - SpectralLaurent.variable(v, -1))
 
 
-def _num_matrix(rank: int, entries: dict, zero) -> GeneratorMatrix:
-    """Numerators of B(x) over aw_denominator from {(i, j) -> {exp -> element}}."""
-    out = GeneratorMatrix(rank)
-    for e in (-1, 0, 1):
-        mat = [[zero() for _ in range(rank)] for _ in range(rank)]
-        seen = False
-        for (i, j), entry in entries.items():
-            if e in entry and not entry[e].is_zero():
-                mat[i - 1][j - 1] = entry[e]
-                seen = True
-        if seen:
-            out.coeffs[e] = mat
-    return out
-
-
 def build_B(t: StructTable) -> GeneratorMatrix:
     """The word ansatz of build_B_general read through the table's words.
 
@@ -419,17 +404,16 @@ def build_B(t: StructTable) -> GeneratorMatrix:
     """
     unit_of = {w[1]: t.unit(k).scale(Fraction(1) / w[0])
                for k, w in enumerate(t.words) if w is not None}
-    entries = {}
-    for ij, entry in build_B_general(t.rank).items():
-        entries[ij] = by_exp = {}
-        for e, wel in entry.items():
-            el = t.zero()
-            for word, c in wel.coeffs.items():
-                if word not in unit_of:
-                    raise ValueError(f"ansatz word {word} is not a basis word of the table")
-                el = el + unit_of[word].scale(c)
-            by_exp[e] = el
-    return _num_matrix(t.rank, entries, t.zero)
+
+    def read(wel):
+        el = t.zero()
+        for word, c in wel.coeffs.items():
+            if word not in unit_of:
+                raise ValueError(f"ansatz word {word} is not a basis word of the table")
+            el = el + unit_of[word].scale(c)
+        return el
+
+    return build_B_general(t.rank).map_entries(read)
 
 
 def build_B_aw(rank: int) -> GeneratorMatrix:
@@ -449,7 +433,7 @@ def reflection_aw_mismatch(t: StructTable, b: GeneratorMatrix):
     clearing, r12c, r21c = cleared_rbar_pair(b.dim)
     lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(clearing, "x", "y")
     rhs = reflection_rhs(b, b, r12c, r21c, dens=_aw_dens(b.dim))
-    return lhs.first_mismatch(rhs, 10 ** 9)
+    return lhs.first_mismatch(rhs)
 
 
 def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
@@ -572,8 +556,9 @@ class WordElement(SymbolCombination):
         return str(sym)
 
 
-def build_B_general(rank: int) -> dict:
-    """Entries of the general-N ansatz as {(i,j) -> {exp -> WordElement}}.
+def build_B_general(rank: int) -> GeneratorMatrix:
+    """The general-N ansatz: numerators of B(x) over aw_denominator, with
+    WordElement entries.
 
     The index convention ("literal") wraps subscripts modulo N into 1..N;
     signs use the literal integer differences of the entry position.
@@ -592,7 +577,9 @@ def build_B_general(rank: int) -> dict:
             out.add_term(word, c)
         return out
 
-    entries: dict = {}
+    # exponents -1, 0, 1 in this order; none stays empty, since entry (1, N)
+    # fills -1, entry (N, 1) fills 1 and the diagonal fills 0
+    num = GeneratorMatrix(n, {-1: {}, 0: {}, 1: {}})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             entry: dict = {}
@@ -622,14 +609,14 @@ def build_B_general(rank: int) -> dict:
                 s = parity_sign((i - j) * n)
                 entry[0] = el([(w(i, j - 1), s)])
                 entry[1] = el([(w(j, i - 1), s * parity_sign((i - j) + n))])
-            entries[(i, j)] = {e: v.scale(2) for e, v in entry.items()}
-    return entries
+            for e, v in entry.items():
+                num.coeffs[e][(i, j)] = v.scale(2)
+    return num
 
 
-def _words_of(entries: dict) -> list:
-    """Distinct words of ansatz entries in a deterministic order."""
-    seen = {word for entry in entries.values() for wel in entry.values()
-            for word in wel.coeffs}
+def _words_of(num: GeneratorMatrix) -> list:
+    """Distinct words of the ansatz entries in a deterministic order."""
+    seen = {word for m in num.coeffs.values() for wel in m.values() for word in wel.coeffs}
     return sorted(seen, key=lambda w: (len(w.letters), w.letters))
 
 
@@ -642,10 +629,9 @@ def extract_structure_constants(rank: int):
     """
     report = Report("extract aw", {"n": rank, "convention": "literal"})
     with timer(report):
-        entries = build_B_general(rank)
-        words = _words_of(entries)
+        num = build_B_general(rank)
+        words = _words_of(num)
         widx = {w: k for k, w in enumerate(words)}
-        num = _num_matrix(rank, entries, lambda: WordElement(rank, {}))
         # right-hand side: linear in the words; left-hand side: bilinear in
         # the unknown brackets of word pairs.  Neither the word coefficients
         # nor the clearing multiplier carries alpha, so the rows are rational
@@ -653,9 +639,10 @@ def extract_structure_constants(rank: int):
         clearing, r12c, r21c = cleared_rbar_pair(rank)
         rhs = reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))
         scal = laurent_xy_terms(clearing, "x", "y")
-        flat = {ij: [(e, widx[w], c)
-                     for e, wel in entry.items() for w, c in wel.coeffs.items()]
-                for ij, entry in entries.items()}
+        flat: dict = {}
+        for e, m in num.coeffs.items():
+            for ij, wel in m.items():
+                flat.setdefault(ij, []).extend((e, widx[w], c) for w, c in wel.coeffs.items())
         elim = SparseEliminator()
         rows = 0
         for i in range(1, rank + 1):

@@ -91,8 +91,8 @@ def build_b(dim: int, cutoff: int) -> dict:
             for mono, coeff in lau.terms.items():
                 e = dict(mono).get("x", 0)
                 for n, mat in b.coeffs.items():
-                    elem = mat[j - 1][i - 1]  # B(x) entry (j, i)
-                    if elem.is_zero():
+                    elem = mat.get((j, i))  # B(x) entry (j, i)
+                    if elem is None:
                         continue
                     key = e + n
                     v = elem.scale(coeff)

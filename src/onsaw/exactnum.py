@@ -101,9 +101,6 @@ class ParamPoly:
     def variable(cls, name: str) -> "ParamPoly":
         return cls({((name, 1),): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -22,7 +22,7 @@ from . import loop_algebra as la
 from .exactnum import ParamPoly, SpectralLaurent, plain
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
-from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
+from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
 
 
 def build_T(sign: int, dim: int, cutoff: int) -> GeneratorMatrix:
@@ -35,23 +35,15 @@ def build_T(sign: int, dim: int, cutoff: int) -> GeneratorMatrix:
         raise ValueError("need N >= 2 and D >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = GeneratorMatrix(dim)
-    z = [[la.zero(dim) for _ in range(dim)] for _ in range(dim)]
-    m0 = [list(row) for row in z]
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i == j:
-                m0[i - 1][j - 1] = la.inject(dim, i, i, 0).scale(sign)
-            elif (i < j) == (sign == 1) and i != j:
-                m0[i - 1][j - 1] = la.inject(dim, j, i, 0).scale(2 * sign)
-    out.coeffs[0] = m0
+    # exponent 0 stores the diagonal and the triangle the sign selects
+    m0 = {(i, j): la.inject(dim, j, i, 0).scale(sign if i == j else 2 * sign)
+          for i in range(1, dim + 1) for j in range(1, dim + 1)
+          if i == j or (i < j) == (sign == 1)}
+    out = GeneratorMatrix(dim, {0: m0})
     for n in range(1, cutoff + 1):
         lev = sign * n
-        mat = [list(row) for row in z]
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                mat[i - 1][j - 1] = la.inject(dim, j, i, lev).scale(2 * sign)
-        out.coeffs[lev] = mat
+        out.coeffs[lev] = {(i, j): la.inject(dim, j, i, lev).scale(2 * sign)
+                           for i in range(1, dim + 1) for j in range(1, dim + 1)}
     return out
 
 
@@ -172,89 +164,41 @@ def theta1_matrix_image(t_opposite: GeneratorMatrix) -> GeneratorMatrix:
     """U T_opp((-1)^N / x)^t U from the opposite-sign generator matrix."""
     dim = t_opposite.dim
     sigma = parity_sign(dim)
-    sub = t_opposite.shift_scale(
-        lambda e: -e, lambda e: sigma ** (e % 2)
-    )
-    sub = sub.transpose()
+    sub = t_opposite.shift_scale(lambda e: -e, lambda e: sigma ** (e % 2)).transpose()
     signs = u_signs(dim)
-    out = {}
-    for e, m in sub.coeffs.items():
-        out[e] = [
-            [m[i][j].scale(signs[i] * signs[j]) for j in range(dim)]
-            for i in range(dim)
-        ]
-    return GeneratorMatrix(dim, out)
-
-
-def _smat_mul(a: dict, b: dict, dim: int) -> dict:
-    """Product of scalar s-exponent series matrices {exp -> NxN plain coefficient}."""
-    out: dict = {}
-    for ea, ma in a.items():
-        for eb, mb in b.items():
-            e = ea + eb
-            tgt = out.setdefault(e, [[0] * dim for _ in range(dim)])
-            for i in range(dim):
-                row = ma[i]
-                for k in range(dim):
-                    c = row[k]
-                    if not c:
-                        continue
-                    for j in range(dim):
-                        w = mb[k][j]
-                        if w:
-                            tgt[i][j] = plain(tgt[i][j] + c * w)
-    return out
+    return GeneratorMatrix(dim, {
+        e: {(i, j): v.scale(signs[i - 1] * signs[j - 1]) for (i, j), v in m.items()}
+        for e, m in sub.coeffs.items()})
 
 
 def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
-    dim = g.dim
-    out = GeneratorMatrix(dim)
+    """s @ g for side "left", g @ s for side "right", with s a scalar series
+    matrix {exponent -> {(i, j): nonzero plain coefficient}} on the same
+    exponent lattice as g."""
+    out = GeneratorMatrix(g.dim)
     for es, ms in s.items():
         for eg, mg in g.coeffs.items():
-            e = es + eg
-            tgt = out.coeffs.setdefault(
-                e, [[la.zero(dim) for _ in range(dim)] for _ in range(dim)]
-            )
-            for i in range(dim):
-                for j in range(dim):
-                    for k in range(dim):
-                        if side == "left":
-                            c = ms[i][k]
-                            v = mg[k][j]
-                        else:
-                            c = ms[k][j]
-                            v = mg[i][k]
-                        if c and not v.is_zero():
-                            tgt[i][j] = tgt[i][j] + v.scale(c)
-    # drop all-zero exponent slices for cleanliness
-    for e in [e for e, m in out.coeffs.items() if all(v.is_zero() for r in m for v in r)]:
-        del out.coeffs[e]
+            for (a, b), c in ms.items():
+                for (i, j), v in mg.items():
+                    if side == "left" and b == i:
+                        out.accumulate(es + eg, a, j, v.scale(c))
+                    elif side == "right" and a == j:
+                        out.accumulate(es + eg, i, b, v.scale(c))
     return out
 
 
 def _v_matrices(dim: int, eps) -> tuple:
-    """V(x), V(x)^-1 and x V'(x) V(x)^-1 on the doubled lattice s^2 = x."""
+    """V(x), V(x)^-1 and x V'(x) on the doubled lattice s^2 = x, as scalar
+    series matrices for ``_smat_on_gm``."""
     h = dim // 2
-
-    def blank():
-        return [[0] * dim for _ in range(dim)]
-
-    v_lo, v_hi = blank(), blank()
-    for j in range(1, h + 1):
-        v_lo[j - 1][h + j - 1] = 1       # (1/sqrt x) E_{j, h+j}
-        v_hi[h + j - 1][j - 1] = eps     # eps sqrt(x) E_{h+j, j}
-    v = {-1: v_lo, 1: v_hi}
+    # (1/sqrt x) E_{j, h+j} + eps sqrt(x) E_{h+j, j}
+    v = {-1: {(j, h + j): 1 for j in range(1, h + 1)},
+         1: {(h + j, j): eps for j in range(1, h + 1)}}
     # V^2 = eps * Id, so V^-1 = eps * V
-    vinv = {
-        e: [[plain(c * eps) for c in row] for row in m] for e, m in v.items()
-    }
+    vinv = {e: {ij: plain(c * eps) for ij, c in m.items()} for e, m in v.items()}
     # derivative in x on the s-lattice: s^e -> (e/2) s^(e-2); times x = s^2 is +2
-    xvp = {
-        e: [[plain(c * Fraction(e, 2)) for c in row] for row in m]
-        for e, m in v.items()
-    }
-    xvp_vinv = _smat_mul(xvp, vinv, dim)
-    return v, vinv, xvp_vinv
+    xvp = {e: {ij: plain(c * Fraction(e, 2)) for ij, c in m.items()} for e, m in v.items()}
+    return v, vinv, xvp
 
 
 def theta2_matrix_image(t_opposite: GeneratorMatrix, sign: int, eps) -> GeneratorMatrix:
@@ -267,24 +211,17 @@ def theta2_matrix_image(t_opposite: GeneratorMatrix, sign: int, eps) -> Generato
     dim = t_opposite.dim
     # T_opp(1/x): exponent e -> -e in x, i.e. -2e on the s-lattice
     sub = t_opposite.shift_scale(lambda e: -2 * e).transpose()
-    v, vinv, xvp_vinv = _v_matrices(dim, eps)
-    img = _smat_on_gm(v, sub, "left")
-    img = _smat_on_gm(vinv, img, "right")
-    cterm = GeneratorMatrix(dim)
-    for e, m in xvp_vinv.items():
-        cterm.coeffs[e] = [
-            [la.central(dim, c).scale(-sign) if c else la.zero(dim) for c in row]
-            for row in m
-        ]
-    img = img + cterm
-    out = GeneratorMatrix(dim)
-    for e, m in img.coeffs.items():
-        if all(v.is_zero() for row in m for v in row):
-            continue
-        if e % 2:
-            raise AssertionError(f"odd half-integer exponent {e}/2 survived")
-        out.coeffs[e // 2] = m
-    return out
+    v, vinv, xvp = _v_matrices(dim, eps)
+    # the central term -+ c x V'(x) joins V T_opp(1/x)^t before both are
+    # multiplied by V^-1
+    cterm = GeneratorMatrix(dim, {
+        e: {ij: la.central(dim, c).scale(-sign) for ij, c in m.items()}
+        for e, m in xvp.items()})
+    img = _smat_on_gm(vinv, _smat_on_gm(v, sub, "left") + cterm, "right")
+    odd = [e for e in img.coeffs if e % 2]
+    if odd:
+        raise AssertionError(f"odd half-integer exponent {odd[0]}/2 survived")
+    return img.shift_scale(lambda e: e // 2)
 
 
 def check_theta_matrix_form(which: str, dim: int, cutoff: int, eps=None) -> Report:
@@ -310,7 +247,8 @@ def check_theta_matrix_form(which: str, dim: int, cutoff: int, eps=None) -> Repo
             detail = None
             if mism:
                 ex, i, j, lft, rgt = mism
-                detail = f"exponent {ex} entry ({i},{j}): matrix {lft} vs generator {rgt}"
+                detail = (f"exponent {ex} entry ({i},{j}): "
+                          f"matrix {entry_str(lft)} vs generator {entry_str(rgt)}")
             report.add(f"{which}-matrix-form-{name}", mism is None, detail)
     return report
 
@@ -367,10 +305,9 @@ def _centrality_failures(dim: int, cutoff: int):
     cel = la.central(dim)
     for sign in (1, -1):
         for e, m in build_T(sign, dim, cutoff).coeffs.items():
-            for i, row in enumerate(m, 1):
-                for j, v in enumerate(row, 1):
-                    if not la.bracket(v, cel).is_zero():
-                        yield f"sign {sign:+d} exponent {e} entry ({i},{j})"
+            for (i, j), v in sorted(m.items()):
+                if not la.bracket(v, cel).is_zero():
+                    yield f"sign {sign:+d} exponent {e} entry ({i},{j})"
 
 
 def _trace_failures(dim: int, cutoff: int):

@@ -23,7 +23,7 @@ from .exactnum import SpectralLaurent
 from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign
-from .series import BiSeries, GeneratorMatrix, mismatch_detail, windowed
+from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
 from .symcomb import SymbolCombination
 
 
@@ -276,19 +276,14 @@ def check_OAn_presentation(dim: int) -> Report:
 def build_B_matrix(dim: int, cutoff: int) -> GeneratorMatrix:
     """B(x): entry (i, j) holds 2 B_ji^(n) per exponent, constants above
     the diagonal only."""
-    if cutoff < 1:
-        raise ValueError("need D >= 1")
+    if dim < 2 or cutoff < 1:
+        raise ValueError("need N >= 2 and D >= 1")
     out = GeneratorMatrix(dim)
-    m0 = [[zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i < j:
-                m0[i - 1][j - 1] = canonicalize_B(dim, j, i, 0).scale(2)
-    out.coeffs[0] = m0
+    out.coeffs[0] = {(i, j): canonicalize_B(dim, j, i, 0).scale(2)
+                     for i in range(1, dim + 1) for j in range(i + 1, dim + 1)}
     for n in range(1, cutoff + 1):
-        mat = [[canonicalize_B(dim, j, i, n).scale(2) for j in range(1, dim + 1)]
-               for i in range(1, dim + 1)]
-        out.coeffs[n] = mat
+        out.coeffs[n] = {(i, j): canonicalize_B(dim, j, i, n).scale(2)
+                         for i in range(1, dim + 1) for j in range(1, dim + 1)}
     return out
 
 
@@ -302,7 +297,7 @@ def check_Bxg(dim: int, cutoff: int) -> Report:
         detail = None
         if mism:
             e, i, j, a, b = mism
-            detail = f"exponent {e} entry ({i},{j}): {a} vs {b}"
+            detail = f"exponent {e} entry ({i},{j}): {entry_str(a)} vs {entry_str(b)}"
         report.add("frt-form-of-B", mism is None, detail)
     return report
 
@@ -392,8 +387,7 @@ def currents_mismatch(dim: int, cutoff: int):
     # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); its constant
     # term is nonzero only for i > j
     def currents(b):
-        return {(i, j): {n: m[j - 1][i - 1] for n, m in b.coeffs.items()
-                         if not m[j - 1][i - 1].is_zero()}
+        return {(i, j): {n: m[j, i] for n, m in b.coeffs.items() if (j, i) in m}
                 for i in range(1, dim + 1) for j in range(1, dim + 1)}
 
     # the kernels depend only on sign(k - l), sign(i - j) and the parities

@@ -1,10 +1,13 @@
 """Series-valued matrices over tensor legs.
 
-``GeneratorMatrix`` is an N x N matrix of Lie-algebra elements per
-spectral exponent (a truncated generating series).  ``BiSeries`` is the
-two-leg, two-variable object obtained from products and brackets of two
-generator matrices living on different legs; its entries are maps
-(x-exponent, y-exponent) -> element.
+``GeneratorMatrix`` is a truncated generating series of N x N matrices of
+Lie-algebra elements: a map spectral exponent -> {(i, j): element}, with
+1-based indices.  It stores only nonzero entries, and no exponent maps to
+an empty matrix; an absent entry is zero, and only this module reads that
+rule.  ``BiSeries`` is the two-leg, two-variable object obtained from
+products and brackets of two generator matrices living on different legs;
+its entries are maps (x-exponent, y-exponent) -> element, also nonzero
+only.
 
 Both containers are agnostic about the element type: anything with
 __add__, __sub__, unary minus, .scale(coefficient) and .is_zero() works
@@ -19,7 +22,7 @@ from .report import mono_str
 
 
 class GeneratorMatrix:
-    """Map spectral exponent -> dense N x N matrix of Lie elements."""
+    """Map spectral exponent -> {(i, j): nonzero Lie element}."""
 
     __slots__ = ("dim", "coeffs")
 
@@ -28,9 +31,21 @@ class GeneratorMatrix:
         self.coeffs = coeffs if coeffs is not None else {}
 
     def entry(self, exp: int, i: int, j: int):
-        """1-based matrix indices."""
-        m = self.coeffs.get(exp)
-        return None if m is None else m[i - 1][j - 1]
+        """The element at 1-based (i, j) of exponent exp; None when it is zero."""
+        return self.coeffs.get(exp, {}).get((i, j))
+
+    def accumulate(self, exp: int, i: int, j: int, elem) -> None:
+        """Add elem to entry (i, j) of exponent exp in place, dropping a
+        zero sum and an emptied exponent."""
+        m = self.coeffs.setdefault(exp, {})
+        cur = m.get((i, j))
+        s = elem if cur is None else cur + elem
+        if not s.is_zero():
+            m[(i, j)] = s
+        else:
+            m.pop((i, j), None)
+            if not m:
+                del self.coeffs[exp]
 
     def restricted(self, lo: int, hi: int) -> "GeneratorMatrix":
         """The coefficients at exponents lo..hi only (matrices are shared)."""
@@ -38,76 +53,67 @@ class GeneratorMatrix:
         return GeneratorMatrix(self.dim, kept)
 
     def map_entries(self, fn) -> "GeneratorMatrix":
-        out = {}
+        """fn applied to every entry, for a linear fn (zero to zero); the
+        zeros it produces are dropped."""
+        out = GeneratorMatrix(self.dim)
         for e, m in self.coeffs.items():
-            out[e] = [[fn(v) for v in row] for row in m]
-        return GeneratorMatrix(self.dim, out)
+            for (i, j), v in m.items():
+                out.accumulate(e, i, j, fn(v))
+        return out
 
     def __add__(self, other: "GeneratorMatrix") -> "GeneratorMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = {e: [list(row) for row in m] for e, m in self.coeffs.items()}
+        out = GeneratorMatrix(self.dim, {e: dict(m) for e, m in self.coeffs.items()})
         for e, m in other.coeffs.items():
-            if e in out:
-                t = out[e]
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        t[i][j] = t[i][j] + m[i][j]
-            else:
-                out[e] = [list(row) for row in m]
-        return GeneratorMatrix(self.dim, out)
+            for (i, j), v in m.items():
+                out.accumulate(e, i, j, v)
+        return out
 
     def shift_scale(self, fn_exp, fn_coeff=None) -> "GeneratorMatrix":
         """Remap exponents (and optionally scale coefficients per exponent)."""
-        out = {}
+        out = GeneratorMatrix(self.dim)
         for e, m in self.coeffs.items():
-            ne = fn_exp(e)
-            mat = m
-            if fn_coeff is not None:
-                s = fn_coeff(e)
-                mat = [[v.scale(s) for v in row] for row in m]
-            out[ne] = [list(row) for row in mat]
-        return GeneratorMatrix(self.dim, out)
+            s = None if fn_coeff is None else fn_coeff(e)
+            for (i, j), v in m.items():
+                out.accumulate(fn_exp(e), i, j, v if s is None else v.scale(s))
+        return out
 
     def transpose(self) -> "GeneratorMatrix":
-        out = {}
-        for e, m in self.coeffs.items():
-            out[e] = [[m[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        out = {e: {(j, i): v for (i, j), v in m.items()} for e, m in self.coeffs.items()}
         return GeneratorMatrix(self.dim, out)
 
     def first_trace(self):
         """(exponent, trace) of the first coefficient, in insertion order,
         whose trace is nonzero; None when every coefficient is traceless."""
         for e, m in self.coeffs.items():
-            tr = m[0][0]
-            for i in range(1, self.dim):
-                tr = tr + m[i][i]
-            if not tr.is_zero():
-                return e, tr
+            diag = [m[i, i] for i in range(1, self.dim + 1) if (i, i) in m]
+            if diag:
+                tr = sum(diag[1:], diag[0])
+                if not tr.is_zero():
+                    return e, tr
         return None
 
     def first_mismatch(self, other: "GeneratorMatrix", window: tuple):
         """Compare coefficient-wise at the exponents window[0]..window[1];
-        returns (exp, i, j, left, right) or None."""
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in sorted(exps):
+        returns (exp, i, j, left, right), a zero side as None, or None.
+        The first mismatch is in (exp, i, j) order."""
+        for e in sorted(set(self.coeffs) | set(other.coeffs)):
             if not (window[0] <= e <= window[1]):
                 continue
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    a = self.entry(e, i + 1, j + 1)
-                    b = other.entry(e, i + 1, j + 1)
-                    if a is None and b is None:
-                        continue
-                    if a is None:
-                        if not b.is_zero():
-                            return (e, i + 1, j + 1, a, b)
-                    elif b is None:
-                        if not a.is_zero():
-                            return (e, i + 1, j + 1, a, b)
-                    elif not (a - b).is_zero():
-                        return (e, i + 1, j + 1, a, b)
+            ma = self.coeffs.get(e, {})
+            mb = other.coeffs.get(e, {})
+            for ij in sorted(set(ma) | set(mb)):
+                a = ma.get(ij)
+                b = mb.get(ij)
+                if a is None or b is None or not (a - b).is_zero():
+                    return (e, *ij, a, b)
         return None
+
+
+def entry_str(elem) -> str:
+    """An entry of a generating matrix as text, a zero one (None) as 0."""
+    return "0" if elem is None else str(elem)
 
 
 def laurent_xy_terms(p: SpectralLaurent, xv: str, yv: str):
@@ -156,27 +162,12 @@ class BiSeries:
     @classmethod
     def bracket_cross(cls, gx: GeneratorMatrix, gy: GeneratorMatrix, bracket_fn) -> "BiSeries":
         """[X_1(x), Y_2(y)] for X, Y on distinct legs: entries are brackets."""
-        n = gx.dim
-        out = cls(n)
+        out = cls(gx.dim)
         for a, mx in gx.coeffs.items():
             for b, my in gy.coeffs.items():
-                for i in range(n):
-                    for j in range(n):
-                        xe = mx[i][j]
-                        if xe.is_zero():
-                            continue
-                        for k in range(n):
-                            for l in range(n):
-                                ye = my[k][l]
-                                if ye.is_zero():
-                                    continue
-                                br = bracket_fn(xe, ye)
-                                if not br.is_zero():
-                                    out._acc(
-                                        (out.idx(i + 1, k + 1), out.idx(j + 1, l + 1)),
-                                        (a, b),
-                                        br,
-                                    )
+                for (i, j), xe in mx.items():
+                    for (k, l), ye in my.items():
+                        out._acc((out.idx(i, k), out.idx(j, l)), (a, b), bracket_fn(xe, ye))
         return out
 
     @classmethod
@@ -186,17 +177,13 @@ class BiSeries:
         out = cls(n)
         for e, m in gm.coeffs.items():
             exps = (e, 0) if slot == 0 else (0, e)
-            for i in range(n):
-                for j in range(n):
-                    v = m[i][j]
-                    if v.is_zero():
-                        continue
-                    for k in range(1, n + 1):
-                        if leg == 1:
-                            key = (out.idx(i + 1, k), out.idx(j + 1, k))
-                        else:
-                            key = (out.idx(k, i + 1), out.idx(k, j + 1))
-                        out._acc(key, exps, v)
+            for (i, j), v in m.items():
+                for k in range(1, n + 1):
+                    if leg == 1:
+                        key = (out.idx(i, k), out.idx(j, k))
+                    else:
+                        key = (out.idx(k, i), out.idx(k, j))
+                    out._acc(key, exps, v)
         return out
 
     @classmethod
@@ -300,15 +287,16 @@ class BiSeries:
 
     # -- comparison ---------------------------------------------------------
 
-    def mismatches(self, other: "BiSeries", window: int):
-        """Every nonzero coefficient of self - other with max(|a|,|b|) <= window,
-        as (a, b, row digits, col digits, difference), in no fixed order."""
+    def mismatches(self, other: "BiSeries", window=None):
+        """Every nonzero coefficient of self - other with max(|a|,|b|) <= window
+        (every one for window None), as (a, b, row digits, col digits,
+        difference), in no fixed order."""
         for key in set(self.data) | set(other.data):
             sa = self.data.get(key, {})
             sb = other.data.get(key, {})
             for exps in set(sa) | set(sb):
                 a, b = exps
-                if max(abs(a), abs(b)) > window:
+                if window is not None and max(abs(a), abs(b)) > window:
                     continue
                 ea = sa.get(exps)
                 eb = sb.get(exps)
@@ -316,7 +304,7 @@ class BiSeries:
                 if not diff.is_zero():
                     yield (a, b, self.digits(key[0]), self.digits(key[1]), diff)
 
-    def first_mismatch(self, other: "BiSeries", window: int):
+    def first_mismatch(self, other: "BiSeries", window=None):
         """The first of ``mismatches`` in (a, b, row, col) order, or None."""
         return min(self.mismatches(other, window), key=lambda m: m[:4], default=None)
 

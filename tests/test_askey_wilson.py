@@ -129,7 +129,7 @@ def test_reflection_tracelessness_negative_control():
     b = aw.build_B_aw(3)
     shift = t.unit("e1")
     for m in b.coeffs.values():
-        m[0][0] = m[0][0] + shift
+        m[1, 1] = m.get((1, 1), t.zero()) + shift
     first = next(iter(b.coeffs))
     detail = {c.name: c.detail for c in aw.check_reflection_aw(t, b).failures()}
     assert detail["tracelessness"] == f"x^{first}: trace {shift}"
@@ -229,7 +229,7 @@ def test_B_aw_matches_paper_entries(rank):
                 want = t.zero()
                 for name, num, den in PAPER_B[rank][(i, j)].get(e, []):
                     want = want + t.unit(name).scale(Fraction(2 * num, den))
-                assert b.entry(e, i, j) == want, (i, j, e)
+                assert (b.entry(e, i, j) or t.zero()) == want, (i, j, e)
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -256,7 +256,7 @@ def test_check_aw_rejects_rank_without_table(rank):
 def test_ansatz_word_counts():
     # the distinct words over all entries and exponents of the ansatz
     for rank, count in ((3, 8), (4, 15), (5, 24)):
-        entries = aw.build_B_general(rank).values()
+        entries = aw.build_B_general(rank).coeffs.values()
         words = {w for entry in entries for wel in entry.values() for w in wel.coeffs}
         assert len(words) == count
 

@@ -32,7 +32,7 @@ def test_M_diagonal_when_off_terms_vanish():
                 pm: q for pm, q in coeff.terms.items()
                 if all(not name.startswith(("ka", "ks")) for name, _ in pm)
             })
-            if not keep.is_zero():
+            if keep:
                 kept[mono] = keep
         return SpectralLaurent(kept)
 

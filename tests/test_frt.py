@@ -16,14 +16,14 @@ def test_T_plus_entries():
     for n in range(1, 5):
         assert (t.entry(n, 1, 2) - la.inject(3, 2, 1, n).scale(2)).is_zero()
     # lower-left zero block at exponent 0
-    assert t.entry(0, 2, 1).is_zero()
-    assert t.entry(0, 3, 1).is_zero()
+    assert (t.entry(0, 2, 1) or la.zero(3)).is_zero()
+    assert (t.entry(0, 3, 1) or la.zero(3)).is_zero()
 
 
 def test_T_minus_entries():
     t = frt.build_T(-1, 3, 3)
     assert (t.entry(0, 2, 1) - la.inject(3, 1, 2, 0).scale(-2)).is_zero()
-    assert t.entry(0, 1, 2).is_zero()
+    assert (t.entry(0, 1, 2) or la.zero(3)).is_zero()
     assert (t.entry(-2, 1, 2) - la.inject(3, 2, 1, -2).scale(-2)).is_zero()
 
 
@@ -32,8 +32,8 @@ def test_T_traceless():
         t = frt.build_T(sign, 4, 3)
         for e, m in t.coeffs.items():
             tr = la.zero(4)
-            for i in range(4):
-                tr = tr + m[i][i]
+            for i in range(1, 5):
+                tr = tr + m[i, i]
             assert tr.is_zero(), e
 
 
@@ -132,8 +132,8 @@ def test_frt_locators_name_first_failure(monkeypatch):
     dim, cutoff = 2, 3
     cel = la.central(dim)
     build_T = frt.build_T
-    planted = [build_T(1, dim, cutoff).coeffs[1][0][1],
-               build_T(-1, dim, cutoff).coeffs[-1][1][0]]
+    planted = [build_T(1, dim, cutoff).coeffs[1][1, 2],
+               build_T(-1, dim, cutoff).coeffs[-1][2, 1]]
     bracket = la.bracket
 
     def bad_bracket(a, b):
@@ -141,7 +141,7 @@ def test_frt_locators_name_first_failure(monkeypatch):
 
     def bad_T(sign, dim, cutoff):
         t = build_T(sign, dim, cutoff)
-        t.coeffs[sign][0][0] = t.coeffs[sign][0][0] + cel
+        t.coeffs[sign][1, 1] = t.coeffs[sign][1, 1] + cel
         return t
 
     monkeypatch.setattr(la, "bracket", bad_bracket)
@@ -205,7 +205,7 @@ def test_frt_fault_at_window_edge_is_caught(monkeypatch):
     def bad_T(sign, dim, cutoff):
         t = build_T(sign, dim, cutoff)
         if sign == 1:
-            t.coeffs[top][0][0] = t.coeffs[top][0][0] + la.central(dim)
+            t.coeffs[top][1, 1] = t.coeffs[top][1, 1] + la.central(dim)
         return t
 
     monkeypatch.setattr(frt, "build_T", bad_T)

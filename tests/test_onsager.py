@@ -160,10 +160,10 @@ def test_oan_wraparound_generator():
 def test_B_matrix_entries():
     b = on.build_B_matrix(3, 3)
     # no diagonal constants
-    for i in range(3):
-        assert b.coeffs[0][i][i].is_zero()
-    assert (b.coeffs[0][0][1] - on.canonicalize_B(3, 2, 1, 0).scale(2)).is_zero()
-    assert (b.coeffs[2][2][0] - on.canonicalize_B(3, 1, 3, 2).scale(2)).is_zero()
+    for i in range(1, 4):
+        assert (b.entry(0, i, i) or on.zero(3)).is_zero()
+    assert (b.coeffs[0][1, 2] - on.canonicalize_B(3, 2, 1, 0).scale(2)).is_zero()
+    assert (b.coeffs[2][3, 1] - on.canonicalize_B(3, 1, 3, 2).scale(2)).is_zero()
 
 
 def test_Bxg():
@@ -243,7 +243,7 @@ def test_reflection_fault_at_window_edge_is_caught(monkeypatch):
 
     def bad_B(dim, cutoff):
         b = build(dim, cutoff)
-        b.coeffs[top][0][0] = b.coeffs[top][0][0] + fault
+        b.coeffs[top][1, 1] = b.coeffs[top][1, 1] + fault
         return b
 
     monkeypatch.setattr(on, "build_B_matrix", bad_B)
@@ -265,6 +265,8 @@ def test_biseries_one_sided_mismatch_is_lhs_minus_rhs():
     assert one.first_mismatch(one, 1) is None
     # outside the window nothing is compared
     assert empty.first_mismatch(one, 0) is None
+    # without a window every cell is compared
+    assert empty.first_mismatch(one, None) == (0, 1, (1, 1), (1, 2), -el)
 
 
 def _unwindowed_currents(dim, cutoff):
@@ -282,7 +284,8 @@ def _unwindowed_currents(dim, cutoff):
 
     def cur(i, j, slot):
         # the current (i, j) is entry (j, i) of B(x)
-        return {((n, 0) if slot == 0 else (0, n)): m[j - 1][i - 1] for n, m in b.coeffs.items()}
+        return {((n, 0) if slot == 0 else (0, n)): b.entry(n, j, i) or on.zero(dim)
+                for n in b.coeffs}
 
     def add(acc, key, el):
         acc[key] = acc.get(key, on.zero(dim)) + el
@@ -345,7 +348,7 @@ def test_currents_match_unwindowed_planted(monkeypatch, exp, row, col, fault):
 
     def bad_B(dim, cutoff):
         b = build(dim, cutoff)
-        b.coeffs[exp][row][col] = b.coeffs[exp][row][col] + el
+        b.coeffs[exp][row + 1, col + 1] = (b.entry(exp, row + 1, col + 1) or on.zero(dim)) + el
         return b
 
     monkeypatch.setattr(on, "build_B_matrix", bad_B)
@@ -374,7 +377,7 @@ def test_reflection_tracelessness_negative_control(monkeypatch):
     def shifted(dim, cutoff):
         b = build(dim, cutoff)
         for m in b.coeffs.values():
-            m[0][0] = m[0][0] + shift
+            m[1, 1] = m.get((1, 1), on.zero(dim)) + shift
         return b
 
     monkeypatch.setattr(on, "build_B_matrix", shifted)
@@ -416,7 +419,7 @@ def test_currents_fault_at_window_edge_is_caught(monkeypatch):
 
     def bad_B(dim, cutoff):
         b = build(dim, cutoff)
-        b.coeffs[top][1][0] = b.coeffs[top][1][0] + fault
+        b.coeffs[top][2, 1] = b.coeffs[top][2, 1] + fault
         return b
 
     monkeypatch.setattr(on, "build_B_matrix", bad_B)
@@ -434,7 +437,7 @@ def test_current_modes_constant_term_rule():
         b = on.build_B_matrix(dim, 3)
         for i in range(1, dim + 1):
             for j in range(1, dim + 1):
-                assert (not b.entry(0, j, i).is_zero()) == (i > j), (dim, i, j)
+                assert (not (b.entry(0, j, i) or on.zero(dim)).is_zero()) == (i > j), (dim, i, j)
                 for n in (1, 2, 3):
                     assert b.entry(n, j, i) == on.canonicalize_B(dim, i, j, n).scale(2)
 

@@ -222,7 +222,7 @@ def test_tensor_and_scalar_matrix_entries_are_plain():
                 _assert_laurent_plain(v)
     for eps in (-1, 1, frt.eps_symbol()):
         for mats in frt._v_matrices(4, eps):
-            assert all(is_plain_or_zero(c) for m in mats.values() for row in m for c in row)
+            assert all(is_plain_or_zero(c) for m in mats.values() for c in m.values())
 
 
 def _assert_table_plain(t):
