@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, parse_param_poly,
-                       plain, terms_of)
+from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, add_coeff,
+                       parse_param_poly, plain, terms_of)
 from .linsolve import SparseEliminator, matrix_rank
 from .onsager import reflection_rhs
 from .report import Report, timer
@@ -212,10 +212,9 @@ def aw3_table() -> StructTable:
         for name_or_map, c in pairs:
             if isinstance(name_or_map, dict):
                 for k, w in name_or_map.items():
-                    out[k] = out.get(k, 0) + w * c
+                    add_coeff(out, k, w * c)
             else:
-                k = t.index[name_or_map]
-                out[k] = out.get(k, 0) + c
+                add_coeff(out, t.index[name_or_map], c)
         return out
 
     for i in range(1, 4):
@@ -281,11 +280,7 @@ def aw4_table() -> StructTable:
 
     def add(vec, other, c):
         for k, w in other.items():
-            cur = vec.get(k, 0) + w * c
-            if cur:
-                vec[k] = cur
-            else:
-                vec.pop(k, None)
+            add_coeff(vec, k, w * c)
         return vec
 
     pending = []  # (ia, ib, vec) gathered from every displayed instance
@@ -659,14 +654,9 @@ def extract_structure_constants(rank: int):
                                 else:
                                     pair, c = (wb, wa), -ca * cb
                                 for ex, ey, sc in scal:
-                                    row = lhs_grid.setdefault((a + ex, b + ey), {})
-                                    cur = row.get(pair, 0) + c * sc
-                                    if cur:
-                                        row[pair] = cur
-                                    else:
-                                        row.pop(pair, None)
-                        key_rc = ((i - 1) * rank + (k - 1), (j - 1) * rank + (l - 1))
-                        rhs_ser = rhs.data.get(key_rc, {})
+                                    add_coeff(lhs_grid.setdefault((a + ex, b + ey), {}),
+                                              pair, c * sc)
+                        rhs_ser = rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {})
                         for mkey in sorted(set(lhs_grid) | set(rhs_ser)):
                             rvec = rhs_ser.get(mkey)
                             rdict = {}

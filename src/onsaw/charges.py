@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import onsager as on
-from .exactnum import ParamPoly, SpectralLaurent, terms_of
+from .exactnum import ParamPoly, SpectralLaurent, add_coeff, terms_of
 from .report import Report, timer
 from .rmatrix import TensorOperator, parity_sign, rbar_closed
 
@@ -83,7 +83,7 @@ def build_b(dim: int, cutoff: int) -> dict:
         raise ValueError("need D >= 2")
     m = build_M(dim, "x")
     b = on.build_B_matrix(dim, cutoff)
-    out: dict = {}
+    coeffs: dict = {}  # exponent -> {symbol: coefficient}
     for r, row in m.rows.items():
         i = m.digits(r)[0]
         for c, lau in row.items():
@@ -94,15 +94,10 @@ def build_b(dim: int, cutoff: int) -> dict:
                     elem = mat.get((j, i))  # B(x) entry (j, i)
                     if elem is None:
                         continue
-                    key = e + n
-                    v = elem.scale(coeff)
-                    cur = out.get(key)
-                    s = v if cur is None else cur + v
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-    return out
+                    acc = coeffs.setdefault(e + n, {})
+                    for sym, v in elem.coeffs.items():
+                        add_coeff(acc, sym, v * coeff)
+    return {n: on.OnsagerElement(dim, acc) for n, acc in coeffs.items() if acc}
 
 
 @dataclass

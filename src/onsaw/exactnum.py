@@ -24,6 +24,14 @@ or product of two numbers is Python's own (``Fraction(1, 2) * 2`` is
 normaliser.  ``terms_of`` reads any coefficient as its monomial ->
 rational map.
 
+The sparse map an object keeps, in every module, stores no zero, so two
+objects are equal exactly when their maps are.  Three kernels hold that
+rule, and every such map is accumulated through them: ``add_coeff``
+adds one coefficient into a map in place, ``merged`` forms the sum or
+difference of two coefficient maps, and ``add_entry`` adds an element
+(anything with ``+`` and ``is_zero()``) into a two-level map, dropping
+an inner map it empties.
+
 No quotient is ever a value: every identity is multiplied through by a
 declared clearing polynomial, and a division is taken only where it is
 exact.  There is one long division, ``ParamPoly.exact_div``;
@@ -119,18 +127,7 @@ class ParamPoly:
         ot = self._coerce(other)
         if ot is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in ot.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-                continue
-            s += c
-            if s:
-                terms[m] = _rational(s)
-            else:
-                del terms[m]
-        return _from_terms(terms)
+        return _from_terms(merged(self.terms, ot))
 
     __radd__ = __add__
 
@@ -141,18 +138,7 @@ class ParamPoly:
         ot = self._coerce(other)
         if ot is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in ot.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -c
-                continue
-            s -= c
-            if s:
-                terms[m] = _rational(s)
-            else:
-                del terms[m]
-        return _from_terms(terms)
+        return _from_terms(merged(self.terms, ot, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -181,12 +167,7 @@ class ParamPoly:
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in ot.items():
-                m = _mono_mul(ma, mb)
-                s = terms.get(m, 0) + ca * cb
-                if s:
-                    terms[m] = _rational(s)
-                else:
-                    terms.pop(m, None)
+                add_coeff(terms, _mono_mul(ma, mb), ca * cb)
         return _from_terms(terms)
 
     __rmul__ = __mul__
@@ -244,15 +225,10 @@ class ParamPoly:
                     qm[name] = e
             qmono = _mono_normal(qm.items())
             qc = Fraction(rem[lt]) / c_den
-            quot[qmono] = quot.get(qmono, 0) + qc
+            add_coeff(quot, qmono, qc)
             for m, c in dt.items():
-                mm = _mono_mul(qmono, m)
-                s = rem.get(mm, 0) - qc * c
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return _from_terms({m: _rational(c) for m, c in quot.items() if c})
+                add_coeff(rem, _mono_mul(qmono, m), -qc * c)
+        return _from_terms(quot)
 
     # -- rendering ---------------------------------------------------------
 
@@ -287,6 +263,53 @@ def plain(value):
     if isinstance(value, int):
         return int(value)  # a bool is stored as the int it equals
     raise TypeError(f"a coefficient is an int, a Fraction or a ParamPoly, not {t.__name__}")
+
+
+def add_coeff(terms: dict, key, c) -> None:
+    """terms[key] += c in place, for a coefficient c; the sum is stored
+    plain and a zero sum is dropped."""
+    s = terms.get(key)
+    s = plain(c) if s is None else plain(s + c)
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def merged(a: dict, b: dict, sign: int = 1) -> dict:
+    """A new map a + sign * b, for sign +1 or -1 and two maps of nonzero
+    plain coefficients; neither input is modified."""
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = c if sign == 1 else -c
+            continue
+        s = plain(s + c if sign == 1 else s - c)
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def add_entry(table: dict, outer, inner, elem) -> None:
+    """table[outer][inner] += elem in place, for an element with ``+`` and
+    ``is_zero()``; a zero sum is dropped, and so is an inner map it empties."""
+    row = table.get(outer)
+    if row is None:
+        if not elem.is_zero():
+            table[outer] = {inner: elem}
+        return
+    cur = row.get(inner)
+    if cur is not None:
+        elem = cur + elem
+    if not elem.is_zero():
+        row[inner] = elem
+    elif cur is not None:
+        del row[inner]
+        if not row:
+            del table[outer]
 
 
 def terms_of(value) -> dict:
@@ -356,12 +379,7 @@ def parse_param_poly(text: str):
                 if not m:
                     raise ValueError(f"cannot parse term factor {factor!r}")
                 mono.append((m.group(1), int(m.group(2) or 1)))
-        key = _mono_normal(mono)
-        c = terms.get(key, 0) + sign * coeff
-        if c:
-            terms[key] = _rational(c)
-        else:
-            terms.pop(key, None)
+        add_coeff(terms, _mono_normal(mono), sign * coeff)
     return _from_terms(terms)
 
 
@@ -422,17 +440,7 @@ class SpectralLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                s = plain(terms[m] + c)
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-            else:
-                terms[m] = c
-        return SpectralLaurent(terms)
+        return SpectralLaurent(merged(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -443,18 +451,7 @@ class SpectralLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -c
-                continue
-            s = plain(s - c)
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return SpectralLaurent(terms)
+        return SpectralLaurent(merged(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -477,15 +474,7 @@ class SpectralLaurent:
                     key = tuple(sorted(m.items()))
                 else:
                     key = ma or mb
-                c = plain(ca * cb)
-                if key in terms:
-                    s = plain(terms[key] + c)
-                    if s:
-                        terms[key] = s
-                    else:
-                        del terms[key]
-                elif c:
-                    terms[key] = c
+                add_coeff(terms, key, ca * cb)
         return SpectralLaurent(terms)
 
     __rmul__ = __mul__
@@ -509,11 +498,8 @@ class SpectralLaurent:
                 del d[var]
             else:
                 d[var] = e - 1
-            key = tuple(sorted(d.items()))
-            s = terms.get(key)
-            val = plain(c * e)
-            terms[key] = val if s is None else plain(s + val)
-        return SpectralLaurent({m: c for m, c in terms.items() if c})
+            add_coeff(terms, tuple(sorted(d.items())), c * e)
+        return SpectralLaurent(terms)
 
     def substitute(self, var: str, sign: int, powers: dict) -> "SpectralLaurent":
         """Map ``var -> sign * prod(name**e for name, e in powers)`` exactly.
@@ -538,15 +524,7 @@ class SpectralLaurent:
                         d.pop(name, None)
                 if sign == -1 and e % 2:
                     c = -c
-            key = tuple(sorted(d.items()))
-            if key in terms:
-                s = plain(terms[key] + c)
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-            else:
-                terms[key] = c
+            add_coeff(terms, tuple(sorted(d.items())), c)
         return SpectralLaurent(terms)
 
     def degree(self, var: str) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import loop_algebra as la
-from .exactnum import ParamPoly, SpectralLaurent, plain
+from .exactnum import ParamPoly, SpectralLaurent, add_entry, plain
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
@@ -181,9 +181,9 @@ def _smat_on_gm(s: dict, g: GeneratorMatrix, side: str) -> GeneratorMatrix:
             for (a, b), c in ms.items():
                 for (i, j), v in mg.items():
                     if side == "left" and b == i:
-                        out.accumulate(es + eg, a, j, v.scale(c))
+                        add_entry(out.coeffs, es + eg, (a, j), v.scale(c))
                     elif side == "right" and a == j:
-                        out.accumulate(es + eg, i, b, v.scale(c))
+                        add_entry(out.coeffs, es + eg, (i, b), v.scale(c))
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import INVOLUTIVE, coeff_key, plain, terms_of
+from .exactnum import INVOLUTIVE, add_coeff, coeff_key, plain, terms_of
 
 
 def poly_gcd(a, b):
@@ -37,14 +37,10 @@ class EliminationResult:
 
 
 def _sub(row: dict, scale, prow: dict) -> None:
-    """row -= scale * prow in place for a rational scale, dropping
-    cancellations; entries stay plain."""
+    """row -= scale * prow in place for a rational scale."""
+    scale = -scale
     for k, v in prow.items():
-        s = plain(row.get(k, 0) - v * scale)
-        if s:
-            row[k] = s
-        else:
-            del row[k]
+        add_coeff(row, k, v * scale)
 
 
 class SparseEliminator:

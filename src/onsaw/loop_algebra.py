@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactnum import add_coeff
 from .symcomb import SymbolCombination
 
 CENTRAL = ("c",)
@@ -81,10 +82,10 @@ def _cartan_weights(dim: int, i: int) -> tuple:
 def _add_e(out: LoopElement, i: int, j: int, n: int, coeff) -> None:
     """Accumulate coeff * e_ij^(n), expanding diagonals into Cartans."""
     if i != j:
-        out.add_term(off(i, j, n), coeff)
+        add_coeff(out.coeffs, off(i, j, n), coeff)
         return
     for l, w in _cartan_weights(out.dim, i):
-        out.add_term(cartan(l, n), coeff * w)
+        add_coeff(out.coeffs, cartan(l, n), coeff * w)
 
 
 def inject(dim: int, i: int, j: int, n: int) -> LoopElement:
@@ -150,7 +151,7 @@ def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
         raise ValueError(f"rank mismatch: N={a.dim} vs N={b.dim}")
     dim = a.dim
     out = zero(dim)
-    add = out.add_term
+    coeffs = out.coeffs
     for sa, ca in a.coeffs.items():
         if sa == CENTRAL:
             continue
@@ -166,9 +167,9 @@ def bracket(a: LoopElement, b: LoopElement) -> LoopElement:
                 continue
             c = ca * cb
             for tmpl, f in terms:
-                add(tmpl + (level,), c * f)
+                add_coeff(coeffs, tmpl + (level,), c * f)
             if central:
-                add(CENTRAL, c * (m * central))
+                add_coeff(coeffs, CENTRAL, c * (m * central))
     return out
 
 

@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import product
 
 from . import loop_algebra as la
-from .exactnum import SpectralLaurent
+from .exactnum import SpectralLaurent, add_coeff
 from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
-from .rmatrix import cleared_rbar_pair, parity_sign
+from .rmatrix import cleared_rbar_pair, parity_sign, rbar_clearing
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
 from .symcomb import SymbolCombination
 
@@ -67,15 +67,15 @@ def _acc_raw(out: OnsagerElement, i: int, j: int, n: int, coeff) -> None:
         if i == j:
             return  # B_ii^(0) = 0
         if i < j:
-            out.add_term(("B0", i, j), coeff)
+            add_coeff(out.coeffs, ("B0", i, j), coeff)
         else:
-            out.add_term(("B0", j, i), coeff * parity_sign(i + j + 1))
+            add_coeff(out.coeffs, ("B0", j, i), coeff * parity_sign(i + j + 1))
         return
     if i == j == dim:
         for p in range(1, dim):
-            out.add_term(("B", p, p, n), coeff * -1)
+            add_coeff(out.coeffs, ("B", p, p, n), coeff * -1)
         return
-    out.add_term(("B", i, j, n), coeff)
+    add_coeff(out.coeffs, ("B", i, j, n), coeff)
 
 
 def onsager_basis(dim: int, max_level: int):
@@ -376,7 +376,7 @@ def currents_mismatch(dim: int, cutoff: int):
     y = SpectralLaurent.variable("y")
     dxy = x - y
     dprod = x * y - SpectralLaurent.const(sigma)
-    clearing = dxy * dprod
+    clearing = rbar_clearing(dim)
     # every kernel below is dprod times x, y or their mean, or dxy times
     # x*y, a constant or their mean, up to a constant factor
     multipliers = [clearing, dprod * x, dprod * y, dxy * x * y, dxy]

@@ -6,7 +6,9 @@ denominator.  Each identity declares a clearing polynomial built from its
 operands' own denominators; ``over`` moves an operator onto it by exact
 Laurent division of the clearing by the operator's denominator, and only
 operators over the same denominator are added.  The residual numerators
-are then tested for identical vanishing.  No gcd is ever taken.
+are then tested for identical vanishing.  No gcd is ever taken.  Sums
+(``put``, ``+``, ``@``, ``commutator``) go through ``exactnum.add_entry``,
+so they store no zero numerator and no empty row.
 
 Entries take few distinct values (rbar at N=5 has 325 embedded entries
 but eight distinct numerators), so a product ``@`` and a clearing
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import SpectralLaurent, coeff_key, laurent_exact_div
+from .exactnum import SpectralLaurent, add_entry, coeff_key, laurent_exact_div
 from .report import Check, Report, mono_str, timer
 
 
@@ -67,7 +69,7 @@ class TensorOperator:
     # -- construction ----------------------------------------------------------
 
     def put(self, row_digits, col_digits, num: SpectralLaurent) -> None:
-        _acc(self.rows, self.index(row_digits), self.index(col_digits), num)
+        add_entry(self.rows, self.index(row_digits), self.index(col_digits), num)
 
     def entry(self, row_digits, col_digits) -> SpectralLaurent:
         """The entry's numerator over the master denominator ``den``."""
@@ -79,15 +81,7 @@ class TensorOperator:
         """Copy with one entry's numerator over ``den`` replaced (used to
         build corrupted controls)."""
         out = self.copy()
-        r = out.index(row_digits)
-        c = out.index(col_digits)
-        row = out.rows.setdefault(r, {})
-        if num.is_zero():
-            row.pop(c, None)
-        else:
-            row[c] = num
-        if not row:
-            out.rows.pop(r, None)
+        out.put(row_digits, col_digits, num - self.entry(row_digits, col_digits))
         return out
 
     def copy(self) -> "TensorOperator":
@@ -109,7 +103,7 @@ class TensorOperator:
         out = self.copy()
         for r, row in other.rows.items():
             for c, v in row.items():
-                _acc(out.rows, r, c, v)
+                add_entry(out.rows, r, c, v)
         return out
 
     def over(self, clearing: SpectralLaurent) -> "TensorOperator":
@@ -160,7 +154,7 @@ class TensorOperator:
                     p = products.get((kv, kw))
                     if p is None:
                         p = products[kv, kw] = v * w
-                    _acc(out.rows, r, c, p)
+                    add_entry(out.rows, r, c, p)
         return out
 
     def commutator(self, other: "TensorOperator") -> "TensorOperator":
@@ -169,7 +163,7 @@ class TensorOperator:
         # both products share the same master denominator
         for r, row in ba.rows.items():
             for c, v in row.items():
-                _acc(ab.rows, r, c, -v)
+                add_entry(ab.rows, r, c, -v)
         return ab
 
     def scale(self, factor) -> "TensorOperator":
@@ -330,18 +324,6 @@ def _value_key(v: SpectralLaurent) -> frozenset:
     """An exact, hashable key of ``v``'s value: equal keys mean equal values.
     A key that missed an equal value would only cost a repeated product."""
     return frozenset((m, coeff_key(c)) for m, c in v.terms.items())
-
-
-def _acc(rows: dict, r: int, c: int, v: SpectralLaurent) -> None:
-    row = rows.setdefault(r, {})
-    cur = row.get(c)
-    s = v if cur is None else cur + v
-    if s.is_zero():
-        row.pop(c, None)
-        if not row:
-            del rows[r]
-    else:
-        row[c] = s
 
 
 def _over_sum(clearing: SpectralLaurent, *ops: TensorOperator) -> TensorOperator:

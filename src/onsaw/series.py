@@ -2,12 +2,12 @@
 
 ``GeneratorMatrix`` is a truncated generating series of N x N matrices of
 Lie-algebra elements: a map spectral exponent -> {(i, j): element}, with
-1-based indices.  It stores only nonzero entries, and no exponent maps to
-an empty matrix; an absent entry is zero, and only this module reads that
-rule.  ``BiSeries`` is the two-leg, two-variable object obtained from
-products and brackets of two generator matrices living on different legs;
-its entries are maps (x-exponent, y-exponent) -> element, also nonzero
-only.
+1-based indices.  ``BiSeries`` is the two-leg, two-variable object
+obtained from products and brackets of two generator matrices living on
+different legs; its entries are maps (x-exponent, y-exponent) -> element.
+Both store only nonzero entries, and no exponent or cell maps to an empty
+map, so an absent entry is zero; every sum goes through
+``exactnum.add_entry``, which keeps that rule.
 
 Both containers are agnostic about the element type: anything with
 __add__, __sub__, unary minus, .scale(coefficient) and .is_zero() works
@@ -17,7 +17,7 @@ Fraction or a ParamPoly, constant ones included.
 
 from __future__ import annotations
 
-from .exactnum import SpectralLaurent
+from .exactnum import SpectralLaurent, add_entry
 from .report import mono_str
 
 
@@ -34,19 +34,6 @@ class GeneratorMatrix:
         """The element at 1-based (i, j) of exponent exp; None when it is zero."""
         return self.coeffs.get(exp, {}).get((i, j))
 
-    def accumulate(self, exp: int, i: int, j: int, elem) -> None:
-        """Add elem to entry (i, j) of exponent exp in place, dropping a
-        zero sum and an emptied exponent."""
-        m = self.coeffs.setdefault(exp, {})
-        cur = m.get((i, j))
-        s = elem if cur is None else cur + elem
-        if not s.is_zero():
-            m[(i, j)] = s
-        else:
-            m.pop((i, j), None)
-            if not m:
-                del self.coeffs[exp]
-
     def restricted(self, lo: int, hi: int) -> "GeneratorMatrix":
         """The coefficients at exponents lo..hi only (matrices are shared)."""
         kept = {e: m for e, m in self.coeffs.items() if lo <= e <= hi}
@@ -57,8 +44,8 @@ class GeneratorMatrix:
         zeros it produces are dropped."""
         out = GeneratorMatrix(self.dim)
         for e, m in self.coeffs.items():
-            for (i, j), v in m.items():
-                out.accumulate(e, i, j, fn(v))
+            for ij, v in m.items():
+                add_entry(out.coeffs, e, ij, fn(v))
         return out
 
     def __add__(self, other: "GeneratorMatrix") -> "GeneratorMatrix":
@@ -66,8 +53,8 @@ class GeneratorMatrix:
             raise ValueError("dimension mismatch")
         out = GeneratorMatrix(self.dim, {e: dict(m) for e, m in self.coeffs.items()})
         for e, m in other.coeffs.items():
-            for (i, j), v in m.items():
-                out.accumulate(e, i, j, v)
+            for ij, v in m.items():
+                add_entry(out.coeffs, e, ij, v)
         return out
 
     def shift_scale(self, fn_exp, fn_coeff=None) -> "GeneratorMatrix":
@@ -75,8 +62,8 @@ class GeneratorMatrix:
         out = GeneratorMatrix(self.dim)
         for e, m in self.coeffs.items():
             s = None if fn_coeff is None else fn_coeff(e)
-            for (i, j), v in m.items():
-                out.accumulate(fn_exp(e), i, j, v if s is None else v.scale(s))
+            for ij, v in m.items():
+                add_entry(out.coeffs, fn_exp(e), ij, v if s is None else v.scale(s))
         return out
 
     def transpose(self) -> "GeneratorMatrix":
@@ -144,19 +131,6 @@ class BiSeries:
     def digits(self, idx: int):
         return (idx // self.dim + 1, idx % self.dim + 1)
 
-    def _acc(self, key, exps, elem) -> None:
-        if elem.is_zero():
-            return
-        ser = self.data.setdefault(key, {})
-        cur = ser.get(exps)
-        s = elem if cur is None else cur + elem
-        if s.is_zero():
-            ser.pop(exps, None)
-            if not ser:
-                del self.data[key]
-        else:
-            ser[exps] = s
-
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -167,7 +141,8 @@ class BiSeries:
             for b, my in gy.coeffs.items():
                 for (i, j), xe in mx.items():
                     for (k, l), ye in my.items():
-                        out._acc((out.idx(i, k), out.idx(j, l)), (a, b), bracket_fn(xe, ye))
+                        add_entry(out.data, (out.idx(i, k), out.idx(j, l)), (a, b),
+                                  bracket_fn(xe, ye))
         return out
 
     @classmethod
@@ -183,7 +158,7 @@ class BiSeries:
                         key = (out.idx(i, k), out.idx(j, k))
                     else:
                         key = (out.idx(k, i), out.idx(k, j))
-                    out._acc(key, exps, v)
+                    add_entry(out.data, key, exps, v)
         return out
 
     @classmethod
@@ -192,38 +167,30 @@ class BiSeries:
         out = cls(dim)
         for (r, c), lau in scal.items():
             for ex, ey, coeff in laurent_xy_terms(lau, xv, yv):
-                out._acc((r, c), (ex, ey), elem.scale(coeff))
+                add_entry(out.data, (r, c), (ex, ey), elem.scale(coeff))
         return out
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "BiSeries") -> "BiSeries":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "BiSeries", sign: int) -> "BiSeries":
+        """self + sign * other, for sign +1 or -1."""
         out = BiSeries(self.dim, {k: dict(v) for k, v in self.data.items()})
         for key, ser in other.data.items():
             for exps, elem in ser.items():
-                out._acc(key, exps, elem)
+                add_entry(out.data, key, exps, elem if sign == 1 else -elem)
         return out
 
     def __neg__(self) -> "BiSeries":
         return BiSeries(
             self.dim,
-            {k: {e: v.scale(-1) for e, v in ser.items()} for k, ser in self.data.items()},
+            {k: {e: -v for e, v in ser.items()} for k, ser in self.data.items()},
         )
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        out = BiSeries(self.dim, {k: dict(v) for k, v in self.data.items()})
-        for key, ser in other.data.items():
-            for exps, elem in ser.items():
-                dst = out.data.setdefault(key, {})
-                cur = dst.get(exps)
-                s = -elem if cur is None else cur - elem
-                if s.is_zero():
-                    dst.pop(exps, None)
-                    if not dst:
-                        del out.data[key]
-                else:
-                    dst[exps] = s
-        return out
 
     def convolve(self, lau: SpectralLaurent, xv: str, yv: str, window=None) -> "BiSeries":
         """Multiply every entry by a scalar Laurent polynomial in (x, y).
@@ -236,7 +203,7 @@ class BiSeries:
         for key, ser in self.data.items():
             for (a, b), elem in ser.items():
                 for ex, ey, coeff in terms if window is None else _landing(terms, a, b, window):
-                    out._acc(key, (a + ex, b + ey), elem.scale(coeff))
+                    add_entry(out.data, key, (a + ex, b + ey), elem.scale(coeff))
         return out
 
     def mul_scalar(self, scal: dict, xv: str, yv: str, side: str, window=None) -> "BiSeries":
@@ -265,7 +232,7 @@ class BiSeries:
             terms = [(ex, ey, coeff, (i, o) if right else (o, j)) for ex, ey, coeff, o in met]
             for (a, b), elem in ser.items():
                 for ex, ey, coeff, key in terms if window is None else _landing(terms, a, b, window):
-                    out._acc(key, (a + ex, b + ey), elem.scale(coeff))
+                    add_entry(out.data, key, (a + ex, b + ey), elem.scale(coeff))
         return out
 
     def commutator_scalar(self, scal: dict, xv: str, yv: str, window=None) -> "BiSeries":
@@ -283,7 +250,7 @@ class BiSeries:
         for n, elem in series.items():
             a, b = (n, 0) if slot == 0 else (0, n)
             for ex, ey, coeff in _landing(terms, a, b, window):
-                self._acc(key, (a + ex, b + ey), elem.scale(coeff))
+                add_entry(self.data, key, (a + ex, b + ey), elem.scale(coeff))
 
     # -- comparison ---------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 Both the affine loop algebra and the Onsager algebra represent elements
 as a sparse map from canonical basis symbols to coefficients, each kept
-in the plain form of ``exactnum.plain``.
+in the plain form of ``exactnum.plain``; the map stores no zero, and its
+sums go through the ``exactnum`` kernels.
 """
 
 from __future__ import annotations
 
-from .exactnum import plain, term_str
+from .exactnum import add_coeff, merged, plain, term_str
 
 
 class SymbolCombination:
@@ -28,34 +29,14 @@ class SymbolCombination:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            if sym in out:
-                s = plain(out[sym] + c)
-                if not s:
-                    del out[sym]
-                else:
-                    out[sym] = s
-            else:
-                out[sym] = c
-        return type(self)(self.dim, out)
+        return type(self)(self.dim, merged(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return type(self)(self.dim, {s: -c for s, c in self.coeffs.items()})
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            if sym in out:
-                s = plain(out[sym] - c)
-                if not s:
-                    del out[sym]
-                else:
-                    out[sym] = s
-            else:
-                out[sym] = -c
-        return type(self)(self.dim, out)
+        return type(self)(self.dim, merged(self.coeffs, other.coeffs, -1))
 
     def scale(self, factor):
         """Multiply by an int, a Fraction or a ParamPoly."""
@@ -71,18 +52,7 @@ class SymbolCombination:
 
     def add_term(self, sym, coeff) -> None:
         """In-place accumulation while an element is being assembled."""
-        c = plain(coeff)
-        if not c:
-            return
-        cur = self.coeffs.get(sym)
-        if cur is None:
-            self.coeffs[sym] = c
-        else:
-            s = plain(cur + c)
-            if not s:
-                del self.coeffs[sym]
-            else:
-                self.coeffs[sym] = s
+        add_coeff(self.coeffs, sym, coeff)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolCombination):
