@@ -426,7 +426,7 @@ def _aw_dens(rank: int) -> tuple:
 def reflection_aw_mismatch(t: StructTable, b: GeneratorMatrix):
     """Exact reflection residual for a finite generating matrix, or None."""
     clearing, r12c, r21c = cleared_rbar_pair(b.dim)
-    lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(clearing, "x", "y")
+    lhs = BiSeries.bracket_cross(b, b, t.bracket).convolve(clearing)
     rhs = reflection_rhs(b, b, r12c, r21c, dens=_aw_dens(b.dim))
     return lhs.first_mismatch(rhs)
 
@@ -558,8 +558,8 @@ def build_B_general(rank: int) -> GeneratorMatrix:
     The index convention ("literal") wraps subscripts modulo N into 1..N;
     signs use the literal integer differences of the entry position.
     """
-    if rank < 3:
-        raise ValueError("the word ansatz needs N >= 3")
+    if rank < 2:
+        raise ValueError("the word ansatz needs N >= 2")
     n = rank
     sgn_n = parity_sign(n)
 
@@ -633,7 +633,7 @@ def extract_structure_constants(rank: int):
         # (``add_row`` rejects any other coefficient).
         clearing, r12c, r21c = cleared_rbar_pair(rank)
         rhs = reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))
-        scal = laurent_xy_terms(clearing, "x", "y")
+        scal = laurent_xy_terms(clearing)
         flat: dict = {}
         for e, m in num.coeffs.items():
             for ij, wel in m.items():

@@ -287,14 +287,12 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
         c_clear = cterm.cleared(clearing)
         multipliers += list(c_clear.values())
         if include_central:
-            central_bis = BiSeries.from_scalar(
-                dim, c_clear, "x", "y", la.central(dim)
-            )
+            central_bis = BiSeries.from_scalar(dim, c_clear, la.central(dim))
     # T_a lives in x and T_b in y
     ta, tb, window = windowed(ta, tb, cutoff, multipliers)
-    lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, "x", "y", window)
-    tsum = BiSeries.from_leg(ta, 1, 0) + BiSeries.from_leg(tb, 2, 1)
-    rhs = tsum.commutator_scalar(r_clear, "x", "y", window)
+    lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, window)
+    rhs = (BiSeries.commutator_scalar(ta, 1, r_clear, window)
+           + BiSeries.commutator_scalar(tb, 2, r_clear, window))
     if central_bis is not None:
         rhs = rhs + central_bis
     return lhs.first_mismatch(rhs, window), window

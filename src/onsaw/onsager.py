@@ -312,11 +312,12 @@ def reflection_rhs(bx: GeneratorMatrix, by: GeneratorMatrix, r12c: dict, r21c: d
     ``dens`` is the pair (d(x), d(y)), None for d = 1; only then may a
     window be set.
     """
-    left = -BiSeries.from_leg(bx, 1, 0).commutator_scalar(r21c, "x", "y", window)
-    right = BiSeries.from_leg(by, 2, 1).commutator_scalar(r12c, "x", "y", window)
+    # the sign goes on rbar_21, so no negated copy of a series is formed
+    left = BiSeries.commutator_scalar(bx, 1, {k: -v for k, v in r21c.items()}, window)
+    right = BiSeries.commutator_scalar(by, 2, r12c, window)
     if dens is not None:
-        left = left.convolve(dens[1], "x", "y")
-        right = right.convolve(dens[0], "x", "y")
+        left = left.convolve(dens[1])
+        right = right.convolve(dens[0])
     return left + right
 
 
@@ -331,7 +332,7 @@ def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):
     multipliers = [clearing] + list(r12c.values()) + list(r21c.values())
     # B_1 lives in x and B_2 in y
     bx, by, window = windowed(b, b, cutoff, multipliers)
-    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, "x", "y", window)
+    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, window)
     rhs = reflection_rhs(bx, by, r12c, r21c, window)
     return lhs.first_mismatch(rhs, window), window
 
@@ -382,7 +383,7 @@ def currents_mismatch(dim: int, cutoff: int):
     multipliers = [clearing, dprod * x, dprod * y, dxy * x * y, dxy]
     b = build_B_matrix(dim, cutoff)
     bx, by, window = windowed(b, b, cutoff, multipliers)
-    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, "x", "y", window)
+    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, window)
 
     # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); its constant
     # term is nonzero only for i > j

@@ -5,6 +5,9 @@ Lie-algebra elements: a map spectral exponent -> {(i, j): element}, with
 1-based indices.  ``BiSeries`` is the two-leg, two-variable object
 obtained from products and brackets of two generator matrices living on
 different legs; its entries are maps (x-exponent, y-exponent) -> element.
+A ``BiSeries`` is always in (x, y), with leg 1 in x and leg 2 in y; a
+generator matrix enters a product with a scalar two-leg matrix through
+``BiSeries.commutator_scalar``, and no leg-embedded series is formed.
 Both store only nonzero entries, and no exponent or cell maps to an empty
 map, so an absent entry is zero; every sum goes through
 ``exactnum.add_entry``, which keeps that rule.
@@ -103,15 +106,16 @@ def entry_str(elem) -> str:
     return "0" if elem is None else str(elem)
 
 
-def laurent_xy_terms(p: SpectralLaurent, xv: str, yv: str):
-    """Flatten a two-variable Laurent polynomial into (ex, ey, coeff) triples."""
+def laurent_xy_terms(p: SpectralLaurent):
+    """Flatten a Laurent polynomial in (x, y) into (ex, ey, coeff) triples;
+    any other variable raises ``ValueError``."""
     out = []
     for mono, coeff in p.terms.items():
         d = dict(mono)
-        extra = set(d) - {xv, yv}
+        extra = set(d) - {"x", "y"}
         if extra:
             raise ValueError(f"unexpected variables {sorted(extra)}")
-        out.append((d.get(xv, 0), d.get(yv, 0), coeff))
+        out.append((d.get("x", 0), d.get("y", 0), coeff))
     return out
 
 
@@ -146,27 +150,51 @@ class BiSeries:
         return out
 
     @classmethod
-    def from_leg(cls, gm: GeneratorMatrix, leg: int, slot: int) -> "BiSeries":
-        """Embed a generator matrix on leg 1 or 2; slot picks the exponent slot."""
+    def commutator_scalar(cls, gm: GeneratorMatrix, leg: int, scal: dict,
+                          window=None) -> "BiSeries":
+        """[G_leg, S] = G_leg S - S G_leg for G = ``gm`` on leg 1 (in x) or
+        leg 2 (in y) and the scalar two-leg matrix S that ``scal`` maps from
+        (row, col) to Laurent polynomials in (x, y); G_leg is read from
+        ``gm`` and never formed.  With ``window`` set, a product landing
+        outside max(|a|, |b|) <= window is not formed."""
+        if leg not in (1, 2):
+            raise ValueError(f"leg must be 1 or 2, not {leg}")
         n = gm.dim
+        # a composite index is g * stride + off: g is its leg digit and off
+        # the share of its other digit (digits counted from 0)
+        stride = n if leg == 1 else 1
+        # S's terms grouped by the leg digit of the index G meets: S's row
+        # (G's column) in G S, S's column (G's row) in S G; each term is
+        # tagged with that index's off and S's far index, negated for S G
+        after: dict = {}
+        before: dict = {}
+        for (r, c), lau in scal.items():
+            terms = laurent_xy_terms(lau)
+            for met, far, groups, neg in ((r, c, after, False), (c, r, before, True)):
+                g = met // stride % n
+                groups.setdefault(g, []).extend(
+                    (ex, ey, -coeff if neg else coeff, met - g * stride, far)
+                    for ex, ey, coeff in terms)
         out = cls(n)
         for e, m in gm.coeffs.items():
-            exps = (e, 0) if slot == 0 else (0, e)
+            a, b = (e, 0) if leg == 1 else (0, e)
             for (i, j), v in m.items():
-                for k in range(1, n + 1):
-                    if leg == 1:
-                        key = (out.idx(i, k), out.idx(j, k))
-                    else:
-                        key = (out.idx(k, i), out.idx(k, j))
-                    add_entry(out.data, key, exps, v)
+                # G_ij sits at (row + off, col + off) for every off
+                row, col = (i - 1) * stride, (j - 1) * stride
+                terms = [(ex, ey, coeff, (row + off, far))
+                         for ex, ey, coeff, off, far in after.get(j - 1, ())]
+                terms += [(ex, ey, coeff, (far, col + off))
+                          for ex, ey, coeff, off, far in before.get(i - 1, ())]
+                for ex, ey, coeff, key in terms if window is None else _landing(terms, a, b, window):
+                    add_entry(out.data, key, (a + ex, b + ey), v.scale(coeff))
         return out
 
     @classmethod
-    def from_scalar(cls, dim: int, scal: dict, xv: str, yv: str, elem) -> "BiSeries":
+    def from_scalar(cls, dim: int, scal: dict, elem) -> "BiSeries":
         """Scalar two-leg matrix times a fixed Lie element."""
         out = cls(dim)
         for (r, c), lau in scal.items():
-            for ex, ey, coeff in laurent_xy_terms(lau, xv, yv):
+            for ex, ey, coeff in laurent_xy_terms(lau):
                 add_entry(out.data, (r, c), (ex, ey), elem.scale(coeff))
         return out
 
@@ -186,19 +214,13 @@ class BiSeries:
                 add_entry(out.data, key, exps, elem if sign == 1 else -elem)
         return out
 
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            self.dim,
-            {k: {e: -v for e, v in ser.items()} for k, ser in self.data.items()},
-        )
-
-    def convolve(self, lau: SpectralLaurent, xv: str, yv: str, window=None) -> "BiSeries":
+    def convolve(self, lau: SpectralLaurent, window=None) -> "BiSeries":
         """Multiply every entry by a scalar Laurent polynomial in (x, y).
 
         With ``window`` set, a product landing outside max(|a|, |b|) <= window
         is not formed.
         """
-        terms = laurent_xy_terms(lau, xv, yv)
+        terms = laurent_xy_terms(lau)
         out = BiSeries(self.dim)
         for key, ser in self.data.items():
             for (a, b), elem in ser.items():
@@ -206,47 +228,13 @@ class BiSeries:
                     add_entry(out.data, key, (a + ex, b + ey), elem.scale(coeff))
         return out
 
-    def mul_scalar(self, scal: dict, xv: str, yv: str, side: str, window=None) -> "BiSeries":
-        """Matrix product with a scalar two-leg matrix on the given side.
-
-        ``scal`` maps (row, col) composite indices to Laurent polynomials.
-        side "right" computes self @ scal, side "left" computes scal @ self.
-        With ``window`` set, a product landing outside max(|a|, |b|) <= window
-        is not formed.
-        """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        right = side == "right"
-        # the multiplier terms meeting self's column (right) or row (left) k,
-        # each tagged with the other index of its product entry
-        meet: dict = {}
-        for (r, c), v in scal.items():
-            k, other = (r, c) if right else (c, r)
-            meet.setdefault(k, []).extend(
-                (ex, ey, coeff, other) for ex, ey, coeff in laurent_xy_terms(v, xv, yv))
-        out = BiSeries(self.dim)
-        for (i, j), ser in self.data.items():
-            met = meet.get(j if right else i)
-            if met is None:
-                continue
-            terms = [(ex, ey, coeff, (i, o) if right else (o, j)) for ex, ey, coeff, o in met]
-            for (a, b), elem in ser.items():
-                for ex, ey, coeff, key in terms if window is None else _landing(terms, a, b, window):
-                    add_entry(out.data, key, (a + ex, b + ey), elem.scale(coeff))
-        return out
-
-    def commutator_scalar(self, scal: dict, xv: str, yv: str, window=None) -> "BiSeries":
-        """[self, scal] = self @ scal - scal @ self."""
-        return (self.mul_scalar(scal, xv, yv, "right", window)
-                - self.mul_scalar(scal, xv, yv, "left", window))
-
     def add_series(self, key, series: dict, slot: int, lau: SpectralLaurent,
                    window: int) -> None:
         """Add a one-variable series {exponent -> element}, its exponents in
         slot 0 (x) or 1 (y), times a scalar Laurent polynomial in (x, y) to
         cell ``key``, forming only the products that land in
         max(|a|, |b|) <= window."""
-        terms = laurent_xy_terms(lau, "x", "y")
+        terms = laurent_xy_terms(lau)
         for n, elem in series.items():
             a, b = (n, 0) if slot == 0 else (0, n)
             for ex, ey, coeff in _landing(terms, a, b, window):

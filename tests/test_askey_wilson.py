@@ -255,13 +255,14 @@ def test_check_aw_rejects_rank_without_table(rank):
 
 def test_ansatz_word_counts():
     # the distinct words over all entries and exponents of the ansatz
-    for rank, count in ((3, 8), (4, 15), (5, 24)):
+    for rank, count in ((2, 3), (3, 8), (4, 15), (5, 24)):
         entries = aw.build_B_general(rank).coeffs.values()
         words = {w for entry in entries for wel in entry.values() for w in wel.coeffs}
         assert len(words) == count
 
 
-@pytest.mark.parametrize("rank, rows, unknowns", [(3, 684, 28), (4, 2416, 105), (5, 6260, 276)])
+@pytest.mark.parametrize("rank, rows, unknowns",
+                         [(2, 88, 3), (3, 684, 28), (4, 2416, 105), (5, 6260, 276)])
 def test_extraction_system_shape(rank, rows, unknowns):
     # the row count is every row of the system, repeated rows included
     _, rep = aw.extract_structure_constants(rank)

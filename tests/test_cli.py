@@ -66,6 +66,7 @@ def test_theta2_odd_rank_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "onsager", "--n", "1", "--levels", "1"],
     ["verify", "currents", "--n", "1", "--cutoff", "3"],
+    ["extract", "aw", "--n", "1", "--out", "t1.json"],
 ])
 def test_rank_one_is_validation_error(argv, capsys):
     # sl_1 = 0: a run at N = 1 would compare nothing

@@ -172,11 +172,11 @@ def _unpruned_frt_mismatch(dim, cutoff, sign_a, sign_b, include_central=True):
     c_clear = frt._r_prime_term(dim).cleared(clearing) if mixed else {}
     multipliers = [clearing] + list(r_clear.values()) + list(c_clear.values())
     window = cutoff - shift_bound(multipliers, ("x", "y"))
-    lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, "x", "y")
-    tsum = BiSeries.from_leg(ta, 1, 0) + BiSeries.from_leg(tb, 2, 1)
-    rhs = tsum.commutator_scalar(r_clear, "x", "y")
+    lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing)
+    rhs = (BiSeries.commutator_scalar(ta, 1, r_clear)
+           + BiSeries.commutator_scalar(tb, 2, r_clear))
     if mixed and include_central:
-        rhs = rhs + BiSeries.from_scalar(dim, c_clear, "x", "y", la.central(dim))
+        rhs = rhs + BiSeries.from_scalar(dim, c_clear, la.central(dim))
     return lhs.first_mismatch(rhs, window), window
 
 

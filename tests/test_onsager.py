@@ -194,15 +194,14 @@ def _unpruned_reflection(dim, cutoff):
     function of the cleared rbar_12 map (the true one when None)."""
     clearing, r12_true, r21c = cleared_rbar_pair(dim)
     b = on.build_B_matrix(dim, cutoff)
-    lhs = BiSeries.bracket_cross(b, b, on.bracket_abstract).convolve(clearing, "x", "y")
-    rhs21 = -BiSeries.from_leg(b, 1, 0).commutator_scalar(r21c, "x", "y")
-    b2 = BiSeries.from_leg(b, 2, 1)
+    lhs = BiSeries.bracket_cross(b, b, on.bracket_abstract).convolve(clearing)
+    rhs21 = BiSeries.commutator_scalar(b, 1, {k: -v for k, v in r21c.items()})
 
     def mismatch(r12=None):
         r12c = r12_true if r12 is None else r12
         multipliers = [clearing] + list(r12c.values()) + list(r21c.values())
         window = cutoff - shift_bound(multipliers, ("x", "y"))
-        rhs = rhs21 + b2.commutator_scalar(r12c, "x", "y")
+        rhs = rhs21 + BiSeries.commutator_scalar(b, 2, r12c)
         return lhs.first_mismatch(rhs, window), window
 
     return mismatch

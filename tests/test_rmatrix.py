@@ -11,6 +11,7 @@ X = SpectralLaurent.variable("x")
 Y = SpectralLaurent.variable("y")
 Z = SpectralLaurent.variable("z")
 ONE = SpectralLaurent.const(1)
+EPS = ParamPoly.variable("eps")
 
 
 def assert_entry(op, rd, cd, num, den=ONE):
@@ -99,6 +100,27 @@ def test_add_requires_equal_denominators():
     # r_12(x/y) is over y - x, r(y/x) over x - y: a sum needs a declared clearing
     with pytest.raises(ValueError):
         rm.build_r(2, "x", "y") + rm.build_r(2, "y", "x")
+
+
+def test_entrywise_maps_store_no_zero():
+    # x -> 1/y kills the entry xy - 1
+    op = rm.TensorOperator(1, 1)
+    op.put((1,), (1,), X * Y - ONE)
+    sub = op.substitute("x", 1, {"y": -1})
+    assert sub.rows == {} and sub.is_zero()
+    assert sub.first_nonzero() is None
+    # d/dx of 3x over den x is (3x - 3x) / x^2
+    op = rm.TensorOperator(1, 2, X)
+    op.put((1,), (2,), X * 3)
+    der = op.derivative("x")
+    assert der.rows == {} and der.den == X * X
+    # (1 + eps)(1 - eps) = 1 - eps^2 = 0
+    op = rm.TensorOperator(1, 2)
+    op.put((2,), (1,), SpectralLaurent.const(1 + EPS))
+    op.put((1,), (1,), X)
+    scaled = op.scale(1 - EPS)
+    assert scaled.rows == {0: {0: X * (1 - EPS)}}
+    assert scaled.first_nonzero() == ((1,), (1,), (("x", 1),), 1 - EPS)
 
 
 def test_over_declared_clearing():

@@ -1,5 +1,7 @@
 """The sparse rule of GeneratorMatrix: only nonzero entries are stored, and
-no exponent maps to an empty matrix."""
+no exponent maps to an empty matrix; the two-leg commutator kernel."""
+
+from itertools import product
 
 import pytest
 
@@ -7,7 +9,9 @@ from onsaw import askey_wilson as aw
 from onsaw import frt
 from onsaw import loop_algebra as la
 from onsaw import onsager as on
-from onsaw.series import GeneratorMatrix
+from onsaw.exactnum import SpectralLaurent
+from onsaw.rmatrix import cleared_rbar_pair
+from onsaw.series import BiSeries, GeneratorMatrix
 
 
 def _assert_sparse(gm):
@@ -31,7 +35,7 @@ def test_builders_store_no_zeros(dim):
 
 
 def test_aw_matrices_store_no_zeros():
-    for rank in (3, 4, 5):
+    for rank in (2, 3, 4, 5):
         _assert_sparse(aw.build_B_general(rank))
     _assert_sparse(aw.build_B(aw.aw3_table()))
     _assert_sparse(aw.build_B(aw.aw4_table()))
@@ -73,3 +77,99 @@ def test_first_mismatch_against_empty():
     assert gm.first_mismatch(empty, (-1, 1)) == (0, 2, 3, el, None)
     assert empty.first_mismatch(gm, (1, 1)) == (1, 2, 2, None, el2)
     assert gm.first_mismatch(gm, (-1, 1)) is None
+
+
+def _leg_embedded(gm, leg):
+    """G (x) 1 in x (leg 1) or 1 (x) G in y (leg 2), from the definition:
+    the entry at rows (i, k), cols (j, l) is G_ij delta_kl on leg 1 and
+    delta_ij G_kl on leg 2; {(row, col): {(a, b): element}}."""
+    n = gm.dim
+    out = {}
+    for i, k, j, l in product(range(1, n + 1), repeat=4):
+        (gi, gj), same = ((i, j), k == l) if leg == 1 else ((k, l), i == j)
+        if not same:
+            continue
+        for e in gm.coeffs:
+            v = gm.entry(e, gi, gj)
+            if v is not None:
+                exps = (e, 0) if leg == 1 else (0, e)
+                out.setdefault(((i - 1) * n + k - 1, (j - 1) * n + l - 1), {})[exps] = v
+    return out
+
+
+def _reference_commutator(gm, leg, scal):
+    """[G_leg, S] = G_leg S - S G_leg, summed product by product."""
+    emb = _leg_embedded(gm, leg)
+    acc = {}
+
+    def add(r, c, ser, lau, sign):
+        for (a, b), v in ser.items():
+            for mono, coeff in lau.terms.items():
+                d = dict(mono)
+                cell = acc.setdefault((r, c), {})
+                key = (a + d.get("x", 0), b + d.get("y", 0))
+                w = v.scale(coeff * sign)
+                cell[key] = cell[key] + w if key in cell else w
+
+    for (r, m), ser in emb.items():
+        for (m2, c), lau in scal.items():
+            if m2 == m:
+                add(r, c, ser, lau, 1)
+    for (r, m), lau in scal.items():
+        for (m2, c), ser in emb.items():
+            if m2 == m:
+                add(r, c, ser, lau, -1)
+    return _nonzero(acc)
+
+
+def _nonzero(data, window=None):
+    out = {}
+    for key, ser in data.items():
+        kept = {ab: v for ab, v in ser.items() if not v.is_zero()
+                and (window is None or max(map(abs, ab)) <= window)}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def _hand_made_scalar(dim):
+    x = SpectralLaurent.variable("x")
+    y = SpectralLaurent.variable("y")
+    last = dim * dim - 1
+    return {(0, dim + 1): x * y - SpectralLaurent.const(2),
+            (last, 1): SpectralLaurent.variable("y", -1) * 3,
+            (dim, dim): x + y,
+            (1, last): SpectralLaurent.variable("x", 2) * -1}
+
+
+def _generator_matrices(dim):
+    yield on.build_B_matrix(dim, 3)
+    yield frt.build_T(1, dim, 2)
+    yield frt.build_T(-1, dim, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_commutator_scalar_matches_reference(dim):
+    _, r12c, r21c = cleared_rbar_pair(dim)
+    for gm in _generator_matrices(dim):
+        for scal in (r12c, r21c, _hand_made_scalar(dim)):
+            for leg in (1, 2):
+                want = _reference_commutator(gm, leg, scal)
+                assert want, (leg, dim)
+                got = BiSeries.commutator_scalar(gm, leg, scal)
+                assert got.data == want, (leg, dim)
+                for window in (0, 1):
+                    got = BiSeries.commutator_scalar(gm, leg, scal, window)
+                    # every cell inside the window agrees, and none outside is formed
+                    assert got.data == _nonzero(want, window), (leg, dim, window)
+
+
+def test_commutator_scalar_rejects_other_legs_and_variables():
+    gm = on.build_B_matrix(2, 2)
+    _, r12c, _ = cleared_rbar_pair(2)
+    for leg in (0, 3):
+        with pytest.raises(ValueError, match="leg must be 1 or 2"):
+            BiSeries.commutator_scalar(gm, leg, r12c)
+    # a BiSeries is in (x, y) only
+    with pytest.raises(ValueError, match="unexpected variables"):
+        BiSeries.commutator_scalar(gm, 1, {(0, 1): SpectralLaurent.variable("z")})
