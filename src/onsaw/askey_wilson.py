@@ -638,12 +638,28 @@ def extract_structure_constants(rank: int):
         for e, m in num.coeffs.items():
             for ij, wel in m.items():
                 flat.setdefault(ij, []).extend((e, widx[w], c) for w, c in wel.coeffs.items())
+        # The leg swap P maps quadruple (i,k,j,l) to its mirror (k,i,l,j).
+        # With C odd under x <-> y, the mirror's left side at (b, a) is this
+        # one's at (a, b) (each unknown pair is sorted with a sign flip), so
+        # where the right-hand cells agree the same way, the mirror's rows
+        # repeat these exactly.  A quadruple whose mirror came earlier is
+        # then counted, not assembled: ``add_row`` would drop every row.
+        sc_of = {(ex, ey): sc for ex, ey, sc in scal}
+        c_odd = all(sc_of.get((ey, ex)) == -sc for (ex, ey), sc in sc_of.items())
         elim = SparseEliminator()
         rows = 0
+        quad_rows: dict = {}
         for i in range(1, rank + 1):
             for k in range(1, rank + 1):
                 for j in range(1, rank + 1):
                     for l in range(1, rank + 1):
+                        rhs_ser = rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {})
+                        mirror = (k, i, l, j)
+                        if c_odd and mirror < (i, k, j, l):
+                            mser = rhs.data.get((rhs.idx(k, i), rhs.idx(l, j)), {})
+                            if rhs_ser == {(b, a): v for (a, b), v in mser.items()}:
+                                rows += quad_rows[mirror]
+                                continue
                         lhs_grid: dict = {}
                         for a, wa, ca in flat[(i, j)]:
                             for b, wb, cb in flat[(k, l)]:
@@ -656,14 +672,15 @@ def extract_structure_constants(rank: int):
                                 for ex, ey, sc in scal:
                                     add_coeff(lhs_grid.setdefault((a + ex, b + ey), {}),
                                               pair, c * sc)
-                        rhs_ser = rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {})
-                        for mkey in sorted(set(lhs_grid) | set(rhs_ser)):
+                        mkeys = sorted(set(lhs_grid) | set(rhs_ser))
+                        for mkey in mkeys:
                             rvec = rhs_ser.get(mkey)
                             rdict = {}
                             if rvec is not None:
                                 rdict = {widx[w]: c for w, c in rvec.coeffs.items()}
                             elim.add_row(lhs_grid.get(mkey, {}), rdict)
-                            rows += 1
+                        quad_rows[i, k, j, l] = len(mkeys)
+                        rows += len(mkeys)
         all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
         npairs = len(all_pairs)
         result = elim.solve(all_pairs)

@@ -273,11 +273,12 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
     sign_a == sign_b checks the like-sign relation; the mixed relation
     includes the central derivative term unless disabled (negative control).
     """
+    mixed = sign_a != sign_b
     ta = build_T(sign_a, dim, cutoff)
-    tb = build_T(sign_b, dim, cutoff)
+    # one matrix on both legs lets bracket_cross form each mirror pair once
+    tb = build_T(sign_b, dim, cutoff) if mixed else ta
     x = SpectralLaurent.variable("x")
     y = SpectralLaurent.variable("y")
-    mixed = sign_a != sign_b
     clearing = (y - x) * (y - x) if mixed else (y - x)
     r_clear = build_r(dim, "x", "y").cleared(clearing)
     multipliers = [clearing] + list(r_clear.values())

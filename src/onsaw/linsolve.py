@@ -13,7 +13,9 @@ A row equal to one already spanned (it became a pivot or reduced to zero)
 is skipped: pivot rows never change once inserted, so a second copy takes
 the same reduction path to the same end.  Rows are keyed exactly, not by
 hash alone; an inconsistent row is not remembered, so each copy is
-reported.
+reported.  Structure-constant extraction hands in each leg-swap mirror
+block of rows once (``askey_wilson.extract_structure_constants``); the
+repeats that still arrive are those of other symmetries of the relation.
 """
 
 from __future__ import annotations

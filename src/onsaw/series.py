@@ -8,6 +8,10 @@ different legs; its entries are maps (x-exponent, y-exponent) -> element.
 A ``BiSeries`` is always in (x, y), with leg 1 in x and leg 2 in y; a
 generator matrix enters a product with a scalar two-leg matrix through
 ``BiSeries.commutator_scalar``, and no leg-embedded series is formed.
+With the same generator matrix on both legs, ``bracket_cross`` forms one
+side of each pair that the leg swap (x with y, leg 1 with leg 2)
+exchanges, and ``windowed`` keeps that matrix one object when both legs
+reach the same exponents.
 Both store only nonzero entries, and no exponent or cell maps to an empty
 map, so an absent entry is zero; every sum goes through
 ``exactnum.add_entry``, which keeps that rule.
@@ -139,8 +143,31 @@ class BiSeries:
 
     @classmethod
     def bracket_cross(cls, gx: GeneratorMatrix, gy: GeneratorMatrix, bracket_fn) -> "BiSeries":
-        """[X_1(x), Y_2(y)] for X, Y on distinct legs: entries are brackets."""
+        """[X_1(x), Y_2(y)] for X, Y on distinct legs: entries are brackets.
+
+        The bracket of X_ij at x^a with Y_kl at y^b lands at cell
+        (idx(i, k), idx(j, l)), exponents (a, b).  When ``gy is gx``, the
+        leg swap P (x with y, leg 1 with leg 2) pairs it with the bracket of
+        X_kl at x^b with X_ij at y^a, at (idx(k, i), idx(l, j)), (b, a),
+        which is its negative for an antisymmetric ``bracket_fn``; so each
+        unordered pair of stored entries is bracketed once, an entry with
+        itself not at all.  Every bracket passed here is antisymmetric:
+        ``loop_algebra.bracket`` and ``StructTable.bracket`` by construction
+        (``set_bracket`` stores one side of each pair), and
+        ``onsager.bracket_abstract`` through the reflection identity of
+        ``_acc_raw``, which ``check_presentation_agreement`` certifies on
+        every ordered basis pair against the loop algebra.
+        """
         out = cls(gx.dim)
+        if gy is gx:
+            flat = [(a, i, j, v) for a, m in gx.coeffs.items() for (i, j), v in m.items()]
+            for p, (a, i, j, xe) in enumerate(flat):
+                for b, k, l, ye in flat[p + 1:]:
+                    br = bracket_fn(xe, ye)
+                    if not br.is_zero():
+                        add_entry(out.data, (out.idx(i, k), out.idx(j, l)), (a, b), br)
+                        add_entry(out.data, (out.idx(k, i), out.idx(l, j)), (b, a), -br)
+            return out
         for a, mx in gx.coeffs.items():
             for b, my in gy.coeffs.items():
                 for (i, j), xe in mx.items():
@@ -201,17 +228,10 @@ class BiSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "BiSeries", sign: int) -> "BiSeries":
-        """self + sign * other, for sign +1 or -1."""
         out = BiSeries(self.dim, {k: dict(v) for k, v in self.data.items()})
         for key, ser in other.data.items():
             for exps, elem in ser.items():
-                add_entry(out.data, key, exps, elem if sign == 1 else -elem)
+                add_entry(out.data, key, exps, elem)
         return out
 
     def convolve(self, lau: SpectralLaurent, window=None) -> "BiSeries":
@@ -292,13 +312,19 @@ def windowed(gx: GeneratorMatrix, gy: GeneratorMatrix, cutoff: int, multipliers)
 
     The window w = cutoff - shift_bound is where no truncated coefficient
     reaches; each matrix keeps the exponents some multiplier term shifts
-    into it, since the rest only reach cells that are never compared.
+    into it, since the rest only reach cells that are never compared.  When
+    ``gy is gx`` and both legs keep the same exponents, one restricted
+    matrix is returned for both, so ``bracket_cross`` sees one matrix.
     """
     window = cutoff - shift_bound(multipliers, ("x", "y"))
     if window < 0:
         raise ValueError("cutoff too small: empty comparison window")
-    return (gx.restricted(*window_reach(multipliers, "x", window)),
-            gy.restricted(*window_reach(multipliers, "y", window)), window)
+    reach_x = window_reach(multipliers, "x", window)
+    reach_y = window_reach(multipliers, "y", window)
+    if gy is gx and reach_x == reach_y:
+        g = gx.restricted(*reach_x)
+        return g, g, window
+    return gx.restricted(*reach_x), gy.restricted(*reach_y), window
 
 
 def mismatch_detail(mism) -> str:

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 from onsaw import askey_wilson as aw
 from onsaw import charges as ch
-from onsaw import onsager as on
 from onsaw import rmatrix as rm
 from onsaw.exactnum import ParamPoly, SpectralLaurent, add_coeff, add_entry, merged, plain
 from onsaw.linsolve import SparseEliminator
-from onsaw.series import BiSeries
 
 ALPHA = ParamPoly.variable("alpha")
 X = SpectralLaurent.variable("x")
@@ -61,13 +59,6 @@ def test_add_entry_drops_a_zero_sum_and_the_emptied_inner_map():
     assert table == {0: {"j": X * 2}}
     add_entry(table, 0, "j", X * -2)
     assert table == {}
-
-
-def test_biseries_minus_itself_is_empty():
-    b = on.build_B_matrix(2, 2)
-    s = BiSeries.bracket_cross(b, b, on.bracket_abstract)
-    assert s.data
-    assert (s - s).data == {}
 
 
 def test_operator_commutator_with_itself_has_no_rows():

@@ -72,6 +72,17 @@ def test_bracket_antisymmetry():
         assert (on.bracket_abstract(a, b) + on.bracket_abstract(b, a)).is_zero()
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bracket_abstract_antisymmetric_on_basis(dim):
+    # BiSeries.bracket_cross forms one side of each mirror pair on the
+    # antisymmetry of the bracket; this pins it on every pair of units
+    units = [on.OnsagerElement(dim, {s: 1}) for s in on.onsager_basis(dim, 6)]
+    for p, a in enumerate(units):
+        assert on.bracket_abstract(a, a).is_zero()
+        for b in units[p + 1:]:
+            assert on.bracket_abstract(b, a) == -on.bracket_abstract(a, b), (a, b)
+
+
 def test_presentation_agreement():
     assert on.check_presentation_agreement(2, 4).ok()
     assert on.check_presentation_agreement(3, 3).ok()

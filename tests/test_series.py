@@ -1,5 +1,5 @@
 """The sparse rule of GeneratorMatrix: only nonzero entries are stored, and
-no exponent maps to an empty matrix; the two-leg commutator kernel."""
+no exponent maps to an empty matrix; the two-leg kernels."""
 
 from itertools import product
 
@@ -11,7 +11,7 @@ from onsaw import loop_algebra as la
 from onsaw import onsager as on
 from onsaw.exactnum import SpectralLaurent
 from onsaw.rmatrix import cleared_rbar_pair
-from onsaw.series import BiSeries, GeneratorMatrix
+from onsaw.series import BiSeries, GeneratorMatrix, windowed
 
 
 def _assert_sparse(gm):
@@ -173,3 +173,47 @@ def test_commutator_scalar_rejects_other_legs_and_variables():
     # a BiSeries is in (x, y) only
     with pytest.raises(ValueError, match="unexpected variables"):
         BiSeries.commutator_scalar(gm, 1, {(0, 1): SpectralLaurent.variable("z")})
+
+
+def _reference_bracket_cross(gx, gy, fn):
+    """[X_1(x), Y_2(y)] with every ordered pair of entries bracketed."""
+    n = gx.dim
+    acc = {}
+    for (a, mx), (b, my) in product(gx.coeffs.items(), gy.coeffs.items()):
+        for ((i, j), xe), ((k, l), ye) in product(mx.items(), my.items()):
+            cell = acc.setdefault(((i - 1) * n + k - 1, (j - 1) * n + l - 1), {})
+            w = fn(xe, ye)
+            cell[a, b] = cell[a, b] + w if (a, b) in cell else w
+    return _nonzero(acc)
+
+
+def _same_matrix_cases(dim):
+    """(matrix, bracket) pairs for each bracket that bracket_cross is given."""
+    yield frt.build_T(1, dim, 2), la.bracket
+    yield frt.build_T(-1, dim, 2), la.bracket
+    yield on.build_B_matrix(dim, 3), on.bracket_abstract
+    t = (aw.extract_structure_constants(2)[0] if dim == 2
+         else aw.aw3_table() if dim == 3 else aw.aw4_table())
+    yield aw.build_B(t), t.bracket
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_same_matrix_bracket_cross_matches_double_loop(dim):
+    # one matrix on both legs brackets each mirror pair once; the result is
+    # the ordered double loop over two distinct copies of the matrix
+    for gm, fn in _same_matrix_cases(dim):
+        copy = GeneratorMatrix(gm.dim, dict(gm.coeffs))
+        want = _reference_bracket_cross(gm, copy, fn)
+        assert want, dim
+        assert BiSeries.bracket_cross(gm, copy, fn).data == want, dim
+        assert BiSeries.bracket_cross(gm, gm, fn).data == want, dim
+
+
+def test_windowed_shares_one_matrix_when_the_reaches_agree():
+    gm = on.build_B_matrix(3, 6)
+    _, r12c, r21c = cleared_rbar_pair(3)
+    bx, by, _ = windowed(gm, gm, 6, list(r12c.values()) + list(r21c.values()))
+    assert bx is by and bx is not gm
+    # a multiplier in x alone reaches further in x than in y
+    bx, by, _ = windowed(gm, gm, 6, [SpectralLaurent.variable("x")])
+    assert bx is not by
