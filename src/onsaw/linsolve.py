@@ -14,8 +14,10 @@ is skipped: pivot rows never change once inserted, so a second copy takes
 the same reduction path to the same end.  Rows are keyed exactly, not by
 hash alone; an inconsistent row is not remembered, so each copy is
 reported.  Structure-constant extraction hands in each leg-swap mirror
-block of rows once (``askey_wilson.extract_structure_constants``); the
-repeats that still arrive are those of other symmetries of the relation.
+block of rows once (``askey_wilson.extract_structure_constants``), with
+the right side formed cell by cell from the word ansatz and pinned by a
+test to ``onsager.reflection_rhs``; the repeats that still arrive are
+those of other symmetries of the relation.
 """
 
 from __future__ import annotations

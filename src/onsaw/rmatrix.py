@@ -179,13 +179,6 @@ class TensorOperator:
                 add_entry(out.rows, r, c, fn(v))
         return out
 
-    def map_entries(self, fn) -> "TensorOperator":
-        out = TensorOperator(self.legs, self.dim, self.den)
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                add_entry(out.rows, r, c, fn(self.digits(r), self.digits(c), v))
-        return out
-
     # -- leg calculus ------------------------------------------------------------
 
     def embed_legs(self, placement, total: int) -> "TensorOperator":
@@ -432,6 +425,27 @@ def cleared_rbar_pair(dim: int) -> tuple:
     r12 = rbar_closed(dim, "x", "y").cleared(clearing)
     r21 = rbar_closed(dim, "y", "x").embed_legs((2, 1), 2).cleared(clearing)
     return clearing, r12, r21
+
+
+def leg_swap_mismatch(dim: int, r12c: dict, r21c: dict):
+    """The first (row, col) key, in sorted order, where r12c(x,y) differs
+    from -P r21c(y,x) P, or None; P swaps leg 1 with leg 2.
+
+    For the maps of ``cleared_rbar_pair`` this holds by construction: r21c
+    is P rbar(y,x) P over C(x,y), and C(y,x) = -C(x,y), so r21c(y,x) is
+    -P r12c(x,y) P.
+    """
+    swapped_var = {"x": "y", "y": "x"}
+    mirrored = {}
+    for (r, c), v in r21c.items():
+        key = (r % dim * dim + r // dim, c % dim * dim + c // dim)
+        mirrored[key] = SpectralLaurent({
+            tuple(sorted((swapped_var.get(name, name), e) for name, e in mono)): -coeff
+            for mono, coeff in v.terms.items()})
+    for key in sorted(set(r12c) | set(mirrored)):
+        if r12c.get(key) != mirrored.get(key):
+            return key
+    return None
 
 
 # -- residuals and reports ------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from onsaw import askey_wilson as aw
-from onsaw.exactnum import ParamPoly, add_coeff, coeff_key
+from onsaw.exactnum import ParamPoly, SpectralLaurent, add_coeff, coeff_key
 from onsaw.linsolve import SparseEliminator
 from onsaw.onsager import reflection_rhs
 from onsaw.rmatrix import cleared_rbar_pair
@@ -324,6 +324,43 @@ def test_extraction_skips_only_mirror_repeats(monkeypatch, rank):
     rows = int(rep.checks[0].name.split()[1])
     assert len(seen) < rows
     assert list(dict.fromkeys(seen)) == _all_quadruple_row_keys(rank)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_streamed_rhs_cells_match_reflection_rhs(rank):
+    # extraction reads each right-hand cell from the flat ansatz; with words
+    # mapped to indices it is the cell of the shared reflection_rhs, empty
+    # cells included
+    num = aw.build_B_general(rank)
+    widx = {w: k for k, w in enumerate(aw._words_of(num))}
+    _, r12c, r21c = cleared_rbar_pair(rank)
+    rhs = reflection_rhs(num, num, r12c, r21c, dens=aw._aw_dens(rank))
+    cell = aw._rhs_cells(rank, aw._flat_words(num, widx), r12c, r21c)
+    for i, k, j, l in itertools.product(range(1, rank + 1), repeat=4):
+        want = {ab: {widx[w]: c for w, c in el.coeffs.items()}
+                for ab, el in rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {}).items()}
+        assert cell(i, k, j, l) == want, (i, k, j, l)
+
+
+def test_extraction_rejects_broken_leg_swap(monkeypatch):
+    # the mirror skip rests on r12c = -P r21c(y,x) P; a changed entry stops
+    # the extraction with its locator instead of assembling silently
+    clearing, r12c, r21c = cleared_rbar_pair(3)
+    key = sorted(r12c)[5]
+    broken = dict(r12c)
+    broken[key] = r12c[key] + 1
+    monkeypatch.setattr(aw, "cleared_rbar_pair", lambda rank: (clearing, broken, r21c))
+    with pytest.raises(ValueError, match=rf"at entry \({key[0]}, {key[1]}\)"):
+        aw.extract_structure_constants(3)
+
+
+def test_extraction_rejects_clearing_not_odd(monkeypatch):
+    clearing, r12c, r21c = cleared_rbar_pair(3)
+    # C x is not odd under x <-> y; its first term, -x y, maps to itself
+    skewed = clearing * SpectralLaurent.variable("x")
+    monkeypatch.setattr(aw, "cleared_rbar_pair", lambda rank: (skewed, r12c, r21c))
+    with pytest.raises(ValueError, match=r"not odd under x <-> y at x\^1 y\^1"):
+        aw.extract_structure_constants(3)
 
 
 def test_extraction_rank3_matches():

@@ -36,7 +36,10 @@ def test_M_diagonal_when_off_terms_vanish():
                 kept[mono] = keep
         return SpectralLaurent(kept)
 
-    stripped = m.map_entries(lambda rd, cd, v: strip(v))
+    stripped = TensorOperator(m.legs, m.dim, m.den)
+    for r, row in m.rows.items():
+        for c, v in row.items():
+            stripped.put(m.digits(r), m.digits(c), strip(v))
     for r, row in stripped.rows.items():
         for c, v in row.items():
             assert r == c, (r, c, v)

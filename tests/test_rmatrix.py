@@ -165,7 +165,12 @@ def test_cybe_negative_control():
     # dropping the diagonal weight breaks the equation
     def flat(dim, xv, yv):
         r = rm.build_r(dim, xv, yv)
-        return r.map_entries(lambda rd, cd, v: SpectralLaurent.zero() if rd == cd else v)
+        out = rm.TensorOperator(r.legs, r.dim, r.den)
+        for row_idx, row in r.rows.items():
+            for col_idx, v in row.items():
+                if row_idx != col_idx:
+                    out.put(r.digits(row_idx), r.digits(col_idx), v)
+        return out
 
     r13 = flat(2, "x1", "x3").embed_legs((1, 3), 3)
     r23 = flat(2, "x2", "x3").embed_legs((2, 3), 3)
@@ -189,6 +194,22 @@ def test_rbar_fold_equals_closed():
     for dim in (2, 3, 4):
         folded, closed = rm.build_rbar(dim)
         assert (folded - closed).is_zero()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_cleared_rbar_pair_leg_swap_identity(dim):
+    # r12c(x,y) = -P r21c(y,x) P entry by entry, by construction
+    _, r12c, r21c = rm.cleared_rbar_pair(dim)
+    assert rm.leg_swap_mismatch(dim, r12c, r21c) is None
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_leg_swap_mismatch_locates_changed_entry(dim):
+    _, r12c, r21c = rm.cleared_rbar_pair(dim)
+    for key in (min(r12c), sorted(r12c)[len(r12c) // 2], max(r12c)):
+        broken = dict(r12c)
+        broken[key] = r12c[key] + X
+        assert rm.leg_swap_mismatch(dim, broken, r21c) == key
 
 
 def test_ns_cybe():
