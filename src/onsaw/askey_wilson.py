@@ -8,10 +8,10 @@ denominator alpha + (-1)^(N+1) x - 1/x) from the same ansatz read through
 its basis words, and the same exact (no truncation) reflection-relation
 certificate.  The relation is cleared by (x - y)(x y - (-1)^N), as for the
 Onsager B(x), and by d(x) d(y); its right side is the one
-``onsager.reflection_rhs`` forms for every B(x).  Extraction solves the
-same relation: it forms the same right side cell by cell from the flat
-word ansatz (``_rhs_cells``), and a test pins every cell to
-``reflection_rhs``.  Nested-commutator presentation checks cover ranks 3
+``onsager.reflection_rhs`` forms for every B(x), through the two-leg
+kernel ``series.commutator_cells``.  Extraction solves the same relation:
+it reads the same right side from the same kernel, cell by cell, on the
+flat word ansatz.  Nested-commutator presentation checks cover ranks 3
 and 4.
 """
 
@@ -24,10 +24,11 @@ from fractions import Fraction
 from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, add_coeff,
                        parse_param_poly, plain, terms_of)
 from .linsolve import SparseEliminator, matrix_rank
-from .onsager import reflection_rhs
+from .onsager import reflection_rhs, reflection_scalars
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, leg_swap_mismatch, parity_sign
-from .series import BiSeries, GeneratorMatrix, laurent_xy_terms, mismatch_detail
+from .series import (BiSeries, GeneratorMatrix, commutator_cells, flat_entries,
+                     laurent_xy_terms, mismatch_detail)
 from .symcomb import SymbolCombination
 
 ALPHA = ParamPoly.variable("alpha")
@@ -617,105 +618,6 @@ def _words_of(num: GeneratorMatrix) -> list:
     return sorted(seen, key=lambda w: (len(w.letters), w.letters))
 
 
-def _flat_words(num: GeneratorMatrix, widx: dict) -> dict:
-    """(i, j) -> [(exponent, word index, coefficient)] of the ansatz entries."""
-    flat: dict = {}
-    for e, m in num.coeffs.items():
-        for ij, wel in m.items():
-            flat.setdefault(ij, []).extend((e, widx[w], c) for w, c in wel.coeffs.items())
-    return flat
-
-
-def _alpha_split(lau: SpectralLaurent) -> list:
-    """(ex, ey, rational part, alpha part) of each term of a Laurent
-    polynomial in (x, y) whose coefficients are affine in alpha."""
-    (alpha_mono,) = ALPHA.terms
-    out = []
-    for ex, ey, coeff in laurent_xy_terms(lau):
-        parts = dict(terms_of(coeff))
-        c0 = parts.pop((), 0)
-        c1 = parts.pop(alpha_mono, 0)
-        if parts:
-            raise ValueError(f"coefficient {coeff} is not affine in alpha")
-        out.append((ex, ey, c0, c1))
-    return out
-
-
-def _gather(acc: dict, src: list, terms: list, leg: int) -> None:
-    """acc[(a, b, w)] += c sc for each word term (e, w, c) of a B entry on
-    ``leg`` (e is the exponent of x on leg 1, of y on leg 2) and each term
-    (ex, ey, sc) of a scalar entry."""
-    for e, w, c in src:
-        ea, eb = (e, 0) if leg == 1 else (0, e)
-        for ex, ey, sc in terms:
-            key = (ea + ex, eb + ey, w)
-            acc[key] = acc.get(key, 0) + c * sc
-
-
-def _rhs_cells(rank: int, flat: dict, r12c: dict, r21c: dict):
-    """The right side of the cleared reflection relation on the word
-    ansatz, one cell at a time.
-
-    Returns ``cell(i, k, j, l)``: cell (idx(i,k), idx(j,l)) of
-    ``onsager.reflection_rhs(num, num, r12c, r21c, dens=_aw_dens(rank))``
-    as {(a, b): {word index: plain coefficient}}, with ``flat`` the
-    ansatz ``num`` by ``_flat_words``.  With S = -r21c, T = r12c,
-    R = idx(i,k) and C = idx(j,l), the cell is
-    (sum_m B_im(x) S[(m,k),C] - sum_m S[R,(m,l)] B_mj(x)) d(y)
-    + (sum_m B_km(y) T[(i,m),C] - sum_m T[R,(j,m)] B_ml(y)) d(x).
-    S and T are indexed once, by the cell index and the digit each sum
-    leaves fixed, so a cell visits only the entries it meets; the sign of
-    each sum goes into its index.  The rational and alpha parts of each
-    coefficient are summed apart and joined once.
-    """
-    s_col: dict = {}  # (C, k) -> [(m, terms of S[(m,k),C])]
-    s_row: dict = {}  # (R, l) -> [(m, terms of -S[R,(m,l)])]
-    t_col: dict = {}  # (C, i) -> [(m, terms of T[(i,m),C])]
-    t_row: dict = {}  # (R, j) -> [(m, terms of -T[R,(j,m)])]
-    for (r, c), lau in r21c.items():
-        terms = laurent_xy_terms(lau)
-        s_col.setdefault((c, r % rank + 1), []).append(
-            (r // rank + 1, [(ex, ey, -sc) for ex, ey, sc in terms]))
-        s_row.setdefault((r, c % rank + 1), []).append((c // rank + 1, terms))
-    for (r, c), lau in r12c.items():
-        terms = laurent_xy_terms(lau)
-        t_col.setdefault((c, r // rank + 1), []).append((r % rank + 1, terms))
-        t_row.setdefault((r, c // rank + 1), []).append(
-            (c % rank + 1, [(ex, ey, -sc) for ex, ey, sc in terms]))
-    dx, dy = (_alpha_split(d) for d in _aw_dens(rank))
-
-    def cell(i, k, j, l):
-        big_r, big_c = (i - 1) * rank + k - 1, (j - 1) * rank + l - 1
-        left: dict = {}
-        right: dict = {}
-        for m, terms in s_col.get((big_c, k), ()):
-            _gather(left, flat[i, m], terms, 1)
-        for m, terms in s_row.get((big_r, l), ()):
-            _gather(left, flat[m, j], terms, 1)
-        for m, terms in t_col.get((big_c, i), ()):
-            _gather(right, flat[k, m], terms, 2)
-        for m, terms in t_row.get((big_r, j), ()):
-            _gather(right, flat[m, l], terms, 2)
-        parts: dict = {}  # (a, b, w) -> [rational part, alpha part]
-        for acc, den in ((left, dy), (right, dx)):
-            for (a, b, w), v in acc.items():
-                if v:
-                    for ex, ey, c0, c1 in den:
-                        slot = parts.setdefault((a + ex, b + ey, w), [0, 0])
-                        if c0:
-                            slot[0] += v * c0
-                        if c1:
-                            slot[1] += v * c1
-        out: dict = {}
-        for (a, b, w), (c0, c1) in parts.items():
-            v = plain(c0 + c1 * ALPHA) if c1 else plain(c0)
-            if v:
-                out.setdefault((a, b), {})[w] = v
-        return out
-
-    return cell
-
-
 def extract_structure_constants(rank: int):
     """Solve the reflection relation for all brackets of the ansatz words.
 
@@ -732,13 +634,14 @@ def extract_structure_constants(rank: int):
         # the unknown brackets of word pairs.  Neither the word coefficients
         # nor the clearing multiplier carries alpha, so the rows are rational
         # (``add_row`` rejects any other coefficient).  The right side is the
-        # one ``onsager.reflection_rhs`` forms, built cell by cell from the
-        # flat ansatz (``_rhs_cells``, pinned to it by a test) and only for
-        # the quadruples assembled.
+        # one ``onsager.reflection_rhs`` forms, read from the same kernel
+        # cell by cell on the flat ansatz, and only for the quadruples
+        # assembled.
         clearing, r12c, r21c = cleared_rbar_pair(rank)
         scal = laurent_xy_terms(clearing)
-        flat = _flat_words(num, widx)
-        rhs_cell = _rhs_cells(rank, flat, r12c, r21c)
+        flat = flat_entries(num, widx)
+        rbar_s, rbar_t = reflection_scalars(r12c, r21c)
+        rhs_cell = commutator_cells(rank, flat, rbar_s, flat, rbar_t, dens=_aw_dens(rank))
         # The leg swap P maps quadruple (i,k,j,l) to its mirror (k,i,l,j).
         # With C odd under x <-> y, the mirror's left side at (b, a) is this
         # one's at (a, b) (each unknown pair is sorted with a sign flip).

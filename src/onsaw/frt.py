@@ -11,7 +11,9 @@ window is formed: each leg keeps the exponents some multiplier term
 shifts into it, and the products of the multiplications land inside it.
 Everything skipped lands only on cells that are never compared, so every
 compared coefficient, and with it the verdict, the window and the
-first-mismatch locator, is the same as with the full products.
+first-mismatch locator, is the same as with the full products.  The
+right side [T_1(x), r] + [T'_2(y), r] comes from the two-leg kernel of
+``series`` that the reflection relations share.
 """
 
 from __future__ import annotations
@@ -292,8 +294,7 @@ def frt_relation_mismatch(dim: int, cutoff: int, sign_a: int, sign_b: int,
     # T_a lives in x and T_b in y
     ta, tb, window = windowed(ta, tb, cutoff, multipliers)
     lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing, window)
-    rhs = (BiSeries.commutator_scalar(ta, 1, r_clear, window)
-           + BiSeries.commutator_scalar(tb, 2, r_clear, window))
+    rhs = BiSeries.commutator_scalar(ta, r_clear, tb, r_clear, window)
     if central_bis is not None:
         rhs = rhs + central_bis
     return lhs.first_mismatch(rhs, window), window

@@ -15,8 +15,8 @@ the same reduction path to the same end.  Rows are keyed exactly, not by
 hash alone; an inconsistent row is not remembered, so each copy is
 reported.  Structure-constant extraction hands in each leg-swap mirror
 block of rows once (``askey_wilson.extract_structure_constants``), with
-the right side formed cell by cell from the word ansatz and pinned by a
-test to ``onsager.reflection_rhs``; the repeats that still arrive are
+the right side read cell by cell on the word ansatz from the two-leg
+kernel ``series.commutator_cells``; the repeats that still arrive are
 those of other symmetries of the relation.
 """
 

@@ -302,6 +302,12 @@ def check_Bxg(dim: int, cutoff: int) -> Report:
     return report
 
 
+def reflection_scalars(r12c: dict, r21c: dict) -> tuple:
+    """(S, T) = (-rbar_21, rbar_12), from the cleared maps r12c and r21c:
+    the reflection relation's right side is [B_1(x), S] + [B_2(y), T]."""
+    return {k: -v for k, v in r21c.items()}, r12c
+
+
 def reflection_rhs(bx: GeneratorMatrix, by: GeneratorMatrix, r12c: dict, r21c: dict,
                    window=None, dens=None) -> BiSeries:
     """-[B_1(x), rbar_21] d(y) + [B_2(y), rbar_12] d(x): the right side of
@@ -309,16 +315,10 @@ def reflection_rhs(bx: GeneratorMatrix, by: GeneratorMatrix, r12c: dict, r21c: d
     cleared by C = ``rbar_clearing`` and by d(x) d(y), so that its left side
     is [bx_1(x), by_2(y)] C.
 
-    ``dens`` is the pair (d(x), d(y)), None for d = 1; only then may a
-    window be set.
+    ``dens`` is the pair (d(x), d(y)), None for d = 1.
     """
-    # the sign goes on rbar_21, so no negated copy of a series is formed
-    left = BiSeries.commutator_scalar(bx, 1, {k: -v for k, v in r21c.items()}, window)
-    right = BiSeries.commutator_scalar(by, 2, r12c, window)
-    if dens is not None:
-        left = left.convolve(dens[1])
-        right = right.convolve(dens[0])
-    return left + right
+    s, t = reflection_scalars(r12c, r21c)
+    return BiSeries.commutator_scalar(bx, s, by, t, window, dens)
 
 
 def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):

@@ -246,15 +246,6 @@ class TensorOperator:
                 out.put(nrd, ncd, v)
         return out
 
-    def trace(self) -> SpectralLaurent:
-        """The trace's numerator over the master denominator ``den``."""
-        num = SpectralLaurent.zero()
-        for r, row in self.rows.items():
-            v = row.get(r)
-            if v is not None:
-                num = num + v
-        return num
-
     def scale_leg_diag(self, leg: int, signs, side: str) -> "TensorOperator":
         """Multiply by a diagonal matrix diag(signs) on one leg.
 

@@ -5,26 +5,36 @@ Lie-algebra elements: a map spectral exponent -> {(i, j): element}, with
 1-based indices.  ``BiSeries`` is the two-leg, two-variable object
 obtained from products and brackets of two generator matrices living on
 different legs; its entries are maps (x-exponent, y-exponent) -> element.
-A ``BiSeries`` is always in (x, y), with leg 1 in x and leg 2 in y; a
-generator matrix enters a product with a scalar two-leg matrix through
-``BiSeries.commutator_scalar``, and no leg-embedded series is formed.
+A ``BiSeries`` is always in (x, y), with leg 1 in x and leg 2 in y.  Every
+right side of a two-leg relation, [G_1(x), S] + [G'_2(y), T] for scalar
+two-leg matrices S and T, comes from one kernel, ``commutator_cells``: it
+reads the generator matrices as flat (exponent, symbol, coefficient)
+lists and forms one cell at a time, optionally times a multiplier pair.
+``BiSeries.commutator_scalar`` fills a ``BiSeries`` from every cell, and
+extraction reads only the cells it needs; no leg-embedded series is
+formed.
 With the same generator matrix on both legs, ``bracket_cross`` forms one
 side of each pair that the leg swap (x with y, leg 1 with leg 2)
 exchanges, and ``windowed`` keeps that matrix one object when both legs
 reach the same exponents.
 Both store only nonzero entries, and no exponent or cell maps to an empty
 map, so an absent entry is zero; every sum goes through
-``exactnum.add_entry``, which keeps that rule.
+``exactnum.add_entry``, which keeps that rule, save the two-leg kernel's,
+which drops its zeros itself.
 
 Both containers are agnostic about the element type: anything with
 __add__, __sub__, unary minus, .scale(coefficient) and .is_zero() works
-(LoopElement and OnsagerElement both do); a coefficient is an int, a
-Fraction or a ParamPoly, constant ones included.
+(LoopElement and OnsagerElement both do); the two-leg kernel also reads
+an element's ``coeffs`` and builds one as ``type(el)(el.dim, coeffs)``,
+as every ``SymbolCombination`` allows.  A
+coefficient is an int, a Fraction or a ParamPoly, constant ones included.
 """
 
 from __future__ import annotations
 
-from .exactnum import SpectralLaurent, add_entry
+from itertools import product
+
+from .exactnum import ParamPoly, SpectralLaurent, _from_terms, _rational, add_entry, plain, terms_of
 from .report import mono_str
 
 
@@ -177,43 +187,25 @@ class BiSeries:
         return out
 
     @classmethod
-    def commutator_scalar(cls, gm: GeneratorMatrix, leg: int, scal: dict,
-                          window=None) -> "BiSeries":
-        """[G_leg, S] = G_leg S - S G_leg for G = ``gm`` on leg 1 (in x) or
-        leg 2 (in y) and the scalar two-leg matrix S that ``scal`` maps from
-        (row, col) to Laurent polynomials in (x, y); G_leg is read from
-        ``gm`` and never formed.  With ``window`` set, a product landing
-        outside max(|a|, |b|) <= window is not formed."""
-        if leg not in (1, 2):
-            raise ValueError(f"leg must be 1 or 2, not {leg}")
-        n = gm.dim
-        # a composite index is g * stride + off: g is its leg digit and off
-        # the share of its other digit (digits counted from 0)
-        stride = n if leg == 1 else 1
-        # S's terms grouped by the leg digit of the index G meets: S's row
-        # (G's column) in G S, S's column (G's row) in S G; each term is
-        # tagged with that index's off and S's far index, negated for S G
-        after: dict = {}
-        before: dict = {}
-        for (r, c), lau in scal.items():
-            terms = laurent_xy_terms(lau)
-            for met, far, groups, neg in ((r, c, after, False), (c, r, before, True)):
-                g = met // stride % n
-                groups.setdefault(g, []).extend(
-                    (ex, ey, -coeff if neg else coeff, met - g * stride, far)
-                    for ex, ey, coeff in terms)
+    def commutator_scalar(cls, g1: GeneratorMatrix, s: dict, g2: GeneratorMatrix, t: dict,
+                          window=None, dens=None) -> "BiSeries":
+        """[G_1(x), S] + [G'_2(y), T] for G = ``g1`` on leg 1 (in x), G' =
+        ``g2`` on leg 2 (in y) and the scalar two-leg matrices S and T that
+        ``s`` and ``t`` map from (row, col) to Laurent polynomials in (x, y).
+        Every cell is read from ``commutator_cells``, with its ``window``
+        and ``dens``; the entries of G and G' are ``SymbolCombination``s."""
+        n = g1.dim
+        flat1 = flat_entries(g1)
+        cell = commutator_cells(n, flat1, s, flat1 if g2 is g1 else flat_entries(g2), t,
+                                window, dens)
         out = cls(n)
-        for e, m in gm.coeffs.items():
-            a, b = (e, 0) if leg == 1 else (0, e)
-            for (i, j), v in m.items():
-                # G_ij sits at (row + off, col + off) for every off
-                row, col = (i - 1) * stride, (j - 1) * stride
-                terms = [(ex, ey, coeff, (row + off, far))
-                         for ex, ey, coeff, off, far in after.get(j - 1, ())]
-                terms += [(ex, ey, coeff, (far, col + off))
-                          for ex, ey, coeff, off, far in before.get(i - 1, ())]
-                for ex, ey, coeff, key in terms if window is None else _landing(terms, a, b, window):
-                    add_entry(out.data, key, (a + ex, b + ey), v.scale(coeff))
+        # every entry is of the kind of the first one met
+        some = next((v for g in (g1, g2) for m in g.coeffs.values() for v in m.values()), None)
+        for i, k, j, l in product(range(1, n + 1), repeat=4):
+            ser = cell(i, k, j, l)
+            if ser:
+                out.data[out.idx(i, k), out.idx(j, l)] = {
+                    ab: type(some)(some.dim, coeffs) for ab, coeffs in ser.items()}
         return out
 
     @classmethod
@@ -288,6 +280,117 @@ def _landing(terms, a, b, window) -> list:
     """The multiplier terms (ex, ey, ...) that shift cell (a, b) into
     max(|a + ex|, |b + ey|) <= window."""
     return [t for t in terms if -window <= a + t[0] <= window and -window <= b + t[1] <= window]
+
+
+def flat_entries(gm: GeneratorMatrix, rename=None) -> dict:
+    """(i, j) -> [(exponent, symbol, coefficient)] over the terms of every
+    entry of ``gm``; with a map ``rename``, each symbol s is rename[s]."""
+    flat: dict = {}
+    for e, m in gm.coeffs.items():
+        for ij, v in m.items():
+            flat.setdefault(ij, []).extend(
+                (e, sym if rename is None else rename[sym], c) for sym, c in v.coeffs.items())
+    return flat
+
+
+def commutator_cells(n: int, flat1: dict, s: dict, flat2: dict, t: dict,
+                     window=None, dens=None):
+    """The two-leg commutator [G_1(x), S] + [G'_2(y), T], one cell at a time.
+
+    ``flat1`` and ``flat2`` are G and G' by ``flat_entries``, and ``s``
+    and ``t`` map (row, col) to the Laurent polynomials in (x, y) of S and
+    T.  Returns ``cell(i, k, j, l)``: with R = idx(i,k) and C = idx(j,l),
+    cell (R, C) as {(a, b): {symbol: plain coefficient}}, zeros dropped, is
+    (sum_m G_im(x) S[(m,k),C] - sum_m S[R,(m,l)] G_mj(x))
+    + (sum_m G'_km(y) T[(i,m),C] - sum_m T[R,(j,m)] G'_ml(y)).
+    S and T are indexed once, by the cell index and the digit each sum
+    leaves fixed, so a cell visits only the products it receives; the sign
+    of each sum goes into its index.  Products are gathered per symbol, and
+    no element is formed.
+
+    With ``window`` set, a product landing outside max(|a|, |b|) <= window
+    is not formed.  ``dens`` is a multiplier pair (d(x), d(y)): the first
+    half is multiplied by d(y) and the second by d(x), which clears
+    [G_1/d(x), S] + [G'_2/d(y), T] by d(x) d(y).  The multipliers'
+    coefficients are split by parameter monomial, and each gathered sum
+    goes, times the rational parts, into one positional slot per monomial;
+    the slots are joined once.  So every coefficient of G, G', S and T must
+    then be rational, else ``ValueError``.
+    """
+    s_col: dict = {}  # (C, k) -> [(m, terms of S[(m,k),C])]
+    s_row: dict = {}  # (R, l) -> [(m, terms of -S[R,(m,l)])]
+    t_col: dict = {}  # (C, i) -> [(m, terms of T[(i,m),C])]
+    t_row: dict = {}  # (R, j) -> [(m, terms of -T[R,(j,m)])]
+    for scal, col, row, leg in ((s, s_col, s_row, 0), (t, t_col, t_row, 1)):
+        for (r, c), lau in scal.items():
+            terms = laurent_xy_terms(lau)
+            # 0-based digits; G meets the digit of its leg, the other is fixed
+            rd, cd = divmod(r, n), divmod(c, n)
+            col.setdefault((c, rd[1 - leg] + 1), []).append((rd[leg] + 1, terms))
+            row.setdefault((r, cd[1 - leg] + 1), []).append(
+                (cd[leg] + 1, [(ex, ey, -sc) for ex, ey, sc in terms]))
+    if dens is not None:
+        coeffs = [c for f in (flat1, flat2) for ts in f.values() for _, _, c in ts]
+        coeffs += [c for scal in (s, t) for lau in scal.values() for c in lau.terms.values()]
+        if any(isinstance(c, ParamPoly) for c in coeffs):
+            raise ValueError("a coefficient is not rational: under a multiplier "
+                             "each sum is split by parameter monomial")
+        split = [[(ex, ey, terms_of(c)) for ex, ey, c in laurent_xy_terms(d)] for d in dens]
+        monos = sorted({m for terms in split for _, _, parts in terms for m in parts})
+        # each multiplier term as (ex, ey, [(slot, rational part)])
+        dx, dy = ([(ex, ey, [(monos.index(m), c) for m, c in parts.items()])
+                   for ex, ey, parts in terms] for terms in split)
+    # without multipliers a product lands where it is gathered
+    gw = window if dens is None else None
+
+    def cell(i, k, j, l):
+        big_r, big_c = (i - 1) * n + k - 1, (j - 1) * n + l - 1
+        left: dict = {}
+        right = left if dens is None else {}
+        for m, terms in s_col.get((big_c, k), ()):
+            _add_products(left, flat1.get((i, m), ()), terms, 0, gw)
+        for m, terms in s_row.get((big_r, l), ()):
+            _add_products(left, flat1.get((m, j), ()), terms, 0, gw)
+        for m, terms in t_col.get((big_c, i), ()):
+            _add_products(right, flat2.get((k, m), ()), terms, 1, gw)
+        for m, terms in t_row.get((big_r, j), ()):
+            _add_products(right, flat2.get((m, l), ()), terms, 1, gw)
+        out: dict = {}
+        if dens is None:
+            for (a, b, sym), v in left.items():
+                v = plain(v)
+                if v:
+                    out.setdefault((a, b), {})[sym] = v
+            return out
+        parts: dict = {}  # (a, b, symbol) -> [rational part per monomial]
+        for acc, den in ((left, dy), (right, dx)):
+            for (a, b, sym), v in acc.items():
+                if v:
+                    for ex, ey, cs in den if window is None else _landing(den, a, b, window):
+                        key = (a + ex, b + ey, sym)
+                        slot = parts.get(key)
+                        if slot is None:
+                            slot = parts[key] = [0] * len(monos)
+                        for p, c in cs:
+                            slot[p] += v * c
+        for (a, b, sym), slot in parts.items():
+            v = _from_terms({m: _rational(c) for m, c in zip(monos, slot) if c})
+            if v:
+                out.setdefault((a, b), {})[sym] = v
+        return out
+
+    return cell
+
+
+def _add_products(acc: dict, src: list, terms: list, leg: int, window) -> None:
+    """acc[(a, b, symbol)] += c sc for each term (e, symbol, c) of an entry
+    of G on ``leg`` (0: e is the exponent of x, 1: of y) and each term
+    (ex, ey, sc) of a scalar entry that lands in ``window`` (None: all)."""
+    for e, sym, c in src:
+        a, b = (e, 0) if leg == 0 else (0, e)
+        for ex, ey, sc in terms if window is None else _landing(terms, a, b, window):
+            key = (a + ex, b + ey, sym)
+            acc[key] = acc.get(key, 0) + c * sc
 
 
 def shift_bound(laurents, names) -> int:

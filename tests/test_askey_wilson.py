@@ -10,9 +10,9 @@ import pytest
 from onsaw import askey_wilson as aw
 from onsaw.exactnum import ParamPoly, SpectralLaurent, add_coeff, coeff_key
 from onsaw.linsolve import SparseEliminator
-from onsaw.onsager import reflection_rhs
 from onsaw.rmatrix import cleared_rbar_pair
-from onsaw.series import laurent_xy_terms
+from onsaw.series import commutator_cells, laurent_xy_terms
+from test_series import _reference_two_leg
 
 ALPHA = ParamPoly.variable("alpha")
 
@@ -278,6 +278,13 @@ def _row_key(coeffs, rhs):
     return (frozenset(coeffs.items()), frozenset((k, coeff_key(p)) for k, p in rhs.items()))
 
 
+def _reference_rhs(num, r12c, r21c):
+    """-[B_1(x), rbar_21] d(y) + [B_2(y), rbar_12] d(x) on the word ansatz,
+    by the test-side product-by-product reference."""
+    return _reference_two_leg(num, {k: -v for k, v in r21c.items()}, num, r12c,
+                              aw._aw_dens(num.dim))
+
+
 def _all_quadruple_row_keys(rank):
     """Distinct row keys of the extraction system, in order of first
     arrival, with every quadruple (i,k,j,l) assembled in loop order: cell
@@ -286,7 +293,7 @@ def _all_quadruple_row_keys(rank):
     num = aw.build_B_general(rank)
     widx = {w: k for k, w in enumerate(aw._words_of(num))}
     clearing, r12c, r21c = cleared_rbar_pair(rank)
-    rhs = reflection_rhs(num, num, r12c, r21c, dens=aw._aw_dens(rank))
+    rhs = _reference_rhs(num, r12c, r21c)
     digits = range(1, rank + 1)
     terms = {ij: [(e, widx[w], c) for e, m in num.coeffs.items() if ij in m
                   for w, c in m[ij].coeffs.items()]
@@ -299,7 +306,7 @@ def _all_quadruple_row_keys(rank):
                 pair, c = ((wa, wb), ca * cb) if wa < wb else ((wb, wa), -ca * cb)
                 for ex, ey, sc in laurent_xy_terms(clearing):
                     add_coeff(grid.setdefault((a + ex, b + ey), {}), pair, c * sc)
-        cell = rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {})
+        cell = rhs.get(((i - 1) * rank + k - 1, (j - 1) * rank + l - 1), {})
         for mkey in sorted(set(grid) | set(cell)):
             rvec = cell[mkey].coeffs if mkey in cell else {}
             keys.setdefault(_row_key(grid.get(mkey, {}), {widx[w]: c for w, c in rvec.items()}))
@@ -327,18 +334,28 @@ def test_extraction_skips_only_mirror_repeats(monkeypatch, rank):
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
-def test_streamed_rhs_cells_match_reflection_rhs(rank):
-    # extraction reads each right-hand cell from the flat ansatz; with words
-    # mapped to indices it is the cell of the shared reflection_rhs, empty
-    # cells included
+def test_streamed_rhs_cells_match_reflection_rhs(monkeypatch, rank):
+    # extraction reads each right-hand cell from the two-leg kernel on the
+    # flat ansatz; with words mapped to indices it is the cell of the
+    # reflection right side that the reference forms, empty cells included
     num = aw.build_B_general(rank)
     widx = {w: k for k, w in enumerate(aw._words_of(num))}
     _, r12c, r21c = cleared_rbar_pair(rank)
-    rhs = reflection_rhs(num, num, r12c, r21c, dens=aw._aw_dens(rank))
-    cell = aw._rhs_cells(rank, aw._flat_words(num, widx), r12c, r21c)
+    rhs = _reference_rhs(num, r12c, r21c)
+    seen = []
+    cells = commutator_cells
+
+    def spy(*args, **kwargs):
+        seen.append(cells(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(aw, "commutator_cells", spy)
+    aw.extract_structure_constants(rank)
+    (cell,) = seen
     for i, k, j, l in itertools.product(range(1, rank + 1), repeat=4):
         want = {ab: {widx[w]: c for w, c in el.coeffs.items()}
-                for ab, el in rhs.data.get((rhs.idx(i, k), rhs.idx(j, l)), {}).items()}
+                for ab, el in rhs.get(((i - 1) * rank + k - 1, (j - 1) * rank + l - 1),
+                                      {}).items()}
         assert cell(i, k, j, l) == want, (i, k, j, l)
 
 

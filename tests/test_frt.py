@@ -173,8 +173,7 @@ def _unpruned_frt_mismatch(dim, cutoff, sign_a, sign_b, include_central=True):
     multipliers = [clearing] + list(r_clear.values()) + list(c_clear.values())
     window = cutoff - shift_bound(multipliers, ("x", "y"))
     lhs = BiSeries.bracket_cross(ta, tb, la.bracket).convolve(clearing)
-    rhs = (BiSeries.commutator_scalar(ta, 1, r_clear)
-           + BiSeries.commutator_scalar(tb, 2, r_clear))
+    rhs = BiSeries.commutator_scalar(ta, r_clear, tb, r_clear)
     if mixed and include_central:
         rhs = rhs + BiSeries.from_scalar(dim, c_clear, la.central(dim))
     return lhs.first_mismatch(rhs, window), window

@@ -206,13 +206,13 @@ def _unpruned_reflection(dim, cutoff):
     clearing, r12_true, r21c = cleared_rbar_pair(dim)
     b = on.build_B_matrix(dim, cutoff)
     lhs = BiSeries.bracket_cross(b, b, on.bracket_abstract).convolve(clearing)
-    rhs21 = BiSeries.commutator_scalar(b, 1, {k: -v for k, v in r21c.items()})
+    rhs21 = BiSeries.commutator_scalar(b, {k: -v for k, v in r21c.items()}, b, {})
 
     def mismatch(r12=None):
         r12c = r12_true if r12 is None else r12
         multipliers = [clearing] + list(r12c.values()) + list(r21c.values())
         window = cutoff - shift_bound(multipliers, ("x", "y"))
-        rhs = rhs21 + BiSeries.commutator_scalar(b, 2, r12c)
+        rhs = rhs21 + BiSeries.commutator_scalar(b, {}, b, r12c)
         return lhs.first_mismatch(rhs, window), window
 
     return mismatch

@@ -9,7 +9,8 @@ from onsaw import askey_wilson as aw
 from onsaw import frt
 from onsaw import loop_algebra as la
 from onsaw import onsager as on
-from onsaw.exactnum import SpectralLaurent
+from onsaw import series
+from onsaw.exactnum import ParamPoly, SpectralLaurent
 from onsaw.rmatrix import cleared_rbar_pair
 from onsaw.series import BiSeries, GeneratorMatrix, windowed
 
@@ -122,6 +123,20 @@ def _reference_commutator(gm, leg, scal):
     return _nonzero(acc)
 
 
+def _reference_two_leg(g1, s, g2, t, dens=None):
+    """[G_1(x), S] d(y) + [G'_2(y), T] d(x), with d = 1 when dens is None:
+    a scalar multiplier joins the scalar matrix before the product."""
+    one = SpectralLaurent.const(1)
+    dx, dy = dens or (one, one)
+    acc = {}
+    for gm, leg, scal, d in ((g1, 1, s, dy), (g2, 2, t, dx)):
+        for key, ser in _reference_commutator(gm, leg, {k: v * d for k, v in scal.items()}).items():
+            cell = acc.setdefault(key, {})
+            for ab, v in ser.items():
+                cell[ab] = cell[ab] + v if ab in cell else v
+    return _nonzero(acc)
+
+
 def _nonzero(data, window=None):
     out = {}
     for key, ser in data.items():
@@ -148,31 +163,56 @@ def _generator_matrices(dim):
     yield frt.build_T(-1, dim, 2)
 
 
+def _two_leg_cases(dim):
+    """(g1, S, g2, T, dens) for every shape the kernel is given."""
+    _, r12c, r21c = cleared_rbar_pair(dim)
+    hand = _hand_made_scalar(dim)
+    # one leg at a time, G' is G on the other leg
+    for gm in _generator_matrices(dim):
+        for scal in (r12c, r21c, hand):
+            yield gm, scal, gm, {}, None
+            yield gm, {}, gm, scal, None
+    # the mixed exchange relation: two matrices, two scalar matrices
+    yield frt.build_T(1, dim, 2), hand, frt.build_T(-1, dim, 2), r12c, None
+    # the reflection relation cleared by a denominator with a parameter
+    b = on.build_B_matrix(dim, 3)
+    minus_r21c = {k: -v for k, v in r21c.items()}
+    yield b, minus_r21c, b, r12c, (aw.aw_denominator(dim, "x"), aw.aw_denominator(dim, "y"))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_commutator_scalar_matches_reference(dim):
-    _, r12c, r21c = cleared_rbar_pair(dim)
-    for gm in _generator_matrices(dim):
-        for scal in (r12c, r21c, _hand_made_scalar(dim)):
-            for leg in (1, 2):
-                want = _reference_commutator(gm, leg, scal)
-                assert want, (leg, dim)
-                got = BiSeries.commutator_scalar(gm, leg, scal)
-                assert got.data == want, (leg, dim)
-                for window in (0, 1):
-                    got = BiSeries.commutator_scalar(gm, leg, scal, window)
-                    # every cell inside the window agrees, and none outside is formed
-                    assert got.data == _nonzero(want, window), (leg, dim, window)
+    for n, (g1, s, g2, t, dens) in enumerate(_two_leg_cases(dim)):
+        want = _reference_two_leg(g1, s, g2, t, dens)
+        assert want, (n, dim)
+        got = BiSeries.commutator_scalar(g1, s, g2, t, dens=dens)
+        assert got.data == want, (n, dim)
+        for window in (0, 1):
+            got = BiSeries.commutator_scalar(g1, s, g2, t, window, dens)
+            # every cell inside the window agrees, and none outside is formed
+            assert got.data == _nonzero(want, window), (n, dim, window)
 
 
-def test_commutator_scalar_rejects_other_legs_and_variables():
+def test_commutator_scalar_rejects_other_variables():
     gm = on.build_B_matrix(2, 2)
-    _, r12c, _ = cleared_rbar_pair(2)
-    for leg in (0, 3):
-        with pytest.raises(ValueError, match="leg must be 1 or 2"):
-            BiSeries.commutator_scalar(gm, leg, r12c)
     # a BiSeries is in (x, y) only
     with pytest.raises(ValueError, match="unexpected variables"):
-        BiSeries.commutator_scalar(gm, 1, {(0, 1): SpectralLaurent.variable("z")})
+        BiSeries.commutator_scalar(gm, {(0, 1): SpectralLaurent.variable("z")}, gm, {})
+
+
+def test_commutator_scalar_rejects_parameter_under_multiplier():
+    # under a multiplier each sum is split into rational slots, one per
+    # parameter monomial; an entry coefficient carrying alpha would be split
+    # wrongly, so it is refused, and is fine without a multiplier
+    gm = on.build_B_matrix(2, 2)
+    alpha = ParamPoly.variable("alpha")
+    gm.coeffs[1][1, 2] = gm.coeffs[1][1, 2].scale(alpha)
+    _, r12c, r21c = cleared_rbar_pair(2)
+    dens = (aw.aw_denominator(2, "x"), aw.aw_denominator(2, "y"))
+    with pytest.raises(ValueError, match="not rational"):
+        BiSeries.commutator_scalar(gm, r21c, gm, r12c, dens=dens)
+    got = BiSeries.commutator_scalar(gm, r21c, gm, r12c)
+    assert got.data == _reference_two_leg(gm, r21c, gm, r12c)
 
 
 def _reference_bracket_cross(gx, gy, fn):
@@ -217,3 +257,28 @@ def test_windowed_shares_one_matrix_when_the_reaches_agree():
     # a multiplier in x alone reaches further in x than in y
     bx, by, _ = windowed(gm, gm, 6, [SpectralLaurent.variable("x")])
     assert bx is not by
+
+
+@pytest.fixture
+def widened(monkeypatch):
+    """Every window of ``windowed`` one wider than its rule allows."""
+    bound = series.shift_bound
+    monkeypatch.setattr(series, "shift_bound", lambda *args: bound(*args) - 1)
+
+
+def test_widened_window_fails_the_tight_exchange_relations(widened):
+    # the (-,-) and mixed exchange relations have no slack: one exponent
+    # more reaches a coefficient the truncation dropped, and is located
+    mism, window = frt.frt_relation_mismatch(3, 6, -1, -1)
+    assert (window, mism[:4]) == (6, (-6, -5, (1, 1), (1, 2)))
+    mism, window = frt.frt_relation_mismatch(3, 6, 1, -1)
+    assert (window, mism[:4]) == (5, (1, -5, (1, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_widened_window_passes_the_relations_with_slack(widened, dim):
+    # (+,+), the reflection relation and the currents keep passing one
+    # exponent wider
+    assert frt.frt_relation_mismatch(dim, 6, 1, 1) == (None, 6)
+    assert on.reflection_mismatch(dim, 6) == (None, 5)
+    assert on.currents_mismatch(dim, 6) == (None, 5)
