@@ -18,6 +18,7 @@ and 4.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, leg_swap_mismatch, parity_sign
 from .series import (BiSeries, GeneratorMatrix, commutator_cells, flat_entries,
                      laurent_xy_terms, mismatch_detail)
-from .symcomb import SymbolCombination
+from .symcomb import SymbolCombination, unpreserved_pairs
 
 ALPHA = ParamPoly.variable("alpha")
 
@@ -127,14 +128,12 @@ class StructTable:
                     out.add_term(ic, c * w)
         return out
 
-    def eval_word(self, word: Word, gens: list | None = None) -> TableElement:
-        """Right-nested commutator evaluation over generator images."""
-        if gens is None:
-            gens = [self.generator(i) for i in range(1, self.rank + 1)]
+    def eval_word(self, word: Word) -> TableElement:
+        """Right-nested commutator evaluation over the generators."""
         letters = word.letters
-        v = gens[letters[-1] - 1]
+        v = self.generator(letters[-1])
         for l in reversed(letters[:-1]):
-            v = self.bracket(gens[l - 1], v)
+            v = self.bracket(self.generator(l), v)
         return v
 
     def jacobi_residual(self, ia: int, ib: int, ic: int) -> TableElement:
@@ -471,23 +470,18 @@ def check_pro1(t: StructTable) -> Report:
         bad = next((f"[e{i+1},[e{i+1},e{j+1}]] - e{j+1} = {r}"
                     for i, j, r in doubles if not r.is_zero()), None)
         report.add("double-bracket-relations", bad is None, bad)
-        bad = None
-        for i, j, k in itertools.permutations((1, 2, 3)):
-            r = (br(br(e[i-1], e[j-1]), br(e[j-1], e[k-1]))
-                 + br(e[i-1], e[k-1])
-                 + e[j-1].scale(ALPHA * _eps3(i, j, k)))
-            if not r.is_zero():
-                bad = f"cubic relation at ({i},{j},{k}): {r}"
-                break
+        triples = list(itertools.permutations((1, 2, 3)))
+        cubics = ((i, j, k, br(br(e[i-1], e[j-1]), br(e[j-1], e[k-1]))
+                   + br(e[i-1], e[k-1])
+                   + e[j-1].scale(ALPHA * _eps3(i, j, k))) for i, j, k in triples)
+        bad = next((f"cubic relation at ({i},{j},{k}): {r}"
+                    for i, j, k, r in cubics if not r.is_zero()), None)
         report.add("cubic-relations", bad is None, bad)
-        bad = None
-        for i, j, k in itertools.permutations((1, 2, 3)):
-            r = (br(e[i-1], br(e[j-1], br(e[k-1], e[i-1])))
-                 - e[i-1].scale(ALPHA * _eps3(i, j, k))
-                 + br(e[j-1], e[k-1]).scale(2))
-            if not r.is_zero():
-                bad = f"alternative relation at ({i},{j},{k}): {r}"
-                break
+        alternatives = ((i, j, k, br(e[i-1], br(e[j-1], br(e[k-1], e[i-1])))
+                         - e[i-1].scale(ALPHA * _eps3(i, j, k))
+                         + br(e[j-1], e[k-1]).scale(2)) for i, j, k in triples)
+        bad = next((f"alternative relation at ({i},{j},{k}): {r}"
+                    for i, j, k, r in alternatives if not r.is_zero()), None)
         report.add("alternative-cubic-relations", bad is None, bad)
         # depth-3 generation: iterated brackets of e1,e2,e3 span all 8 dims
         vectors = [e[i].coeffs for i in range(3)]
@@ -522,21 +516,17 @@ def check_pro2(t: StructTable) -> Report:
         bad = next((f"relation at i={i}: residual {r}" for i, r in residuals()
                     if not r.is_zero()), None)
         report.add("quadratic-and-quartic-relations", bad is None, bad)
-        bad = None
-        for i in range(1, 5):
-            w = br(e(i), br(e(i + 1), e(i + 2)))
-            r = (br(br(e(i), e(i + 1)), br(e(i + 1), br(e(i + 2), e(i + 3))))
-                 + e(i + 1).scale(ALPHA)
-                 + br(e(i), br(e(i + 2), e(i + 3))))
-            if not r.is_zero():
-                bad = f"mixed relation at i={i}: {r}"
-                break
-            r2 = (br(w, br(e(i + 3), w))
-                  + e(i + 3).scale(4)
-                  - w.scale(ALPHA * 2))
-            if not r2.is_zero():
-                bad = f"deep relation at i={i}: {r2}"
-                break
+        def quintics():
+            for i in range(1, 5):
+                yield f"mixed relation at i={i}", (
+                    br(br(e(i), e(i + 1)), br(e(i + 1), br(e(i + 2), e(i + 3))))
+                    + e(i + 1).scale(ALPHA)
+                    + br(e(i), br(e(i + 2), e(i + 3))))
+                w = br(e(i), br(e(i + 1), e(i + 2)))
+                yield f"deep relation at i={i}", (
+                    br(w, br(e(i + 3), w)) + e(i + 3).scale(4) - w.scale(ALPHA * 2))
+
+        bad = next((f"{name}: {r}" for name, r in quintics() if not r.is_zero()), None)
         report.add("quintic-relations", bad is None, bad)
     return report
 
@@ -726,52 +716,33 @@ def match_tables(a: StructTable, b: StructTable) -> Report:
         if a.dim != b.dim:
             report.add("dimension", False, f"{a.dim} vs {b.dim}")
             return report
-        ngen = len(a.gen_indices)
-        found = None
-        reason = None
-        for signs in itertools.product((1, -1), repeat=ngen):
-            gens = [b.generator(i + 1).scale(signs[i]) for i in range(ngen)]
-            images = []
-            ok = True
-            for k in range(a.dim):
-                wk = a.words[k]
-                if wk is None:
-                    ok = False
-                    reason = f"basis {a.basis[k]} has no defining word"
-                    break
-                coeff, word = wk
-                images.append(b.eval_word(word, gens).scale(coeff))
-            if not ok:
-                break
-            if matrix_rank([im.coeffs for im in images]) != a.dim:
-                reason = "images not linearly independent"
-                continue
-            hom = True
-            for ia in range(a.dim):
-                for ib in range(ia + 1, a.dim):
-                    lhs = b.zero()
-                    for ic, c in a.bracket_basis(ia, ib).items():
-                        lhs = lhs + images[ic].scale(c)
-                    rhs = b.bracket(images[ia], images[ib])
-                    if not (lhs - rhs).is_zero():
-                        hom = False
-                        reason = (
-                            f"bracket ({a.basis[ia]},{a.basis[ib]}) "
-                            f"not preserved under signs {signs}"
-                        )
-                        break
-                if not hom:
-                    break
-            if hom:
-                found = signs
-                break
-        report.add(
-            "isomorphism found" if found else "isomorphism",
-            found is not None,
-            None if found else reason,
-        )
-        if found:
-            report.add(f"generator signs {found}", True)
+        missing = next((a.basis[k] for k, w in enumerate(a.words) if w is None), None)
+        if missing is not None:
+            report.add("isomorphism", False, f"basis {missing} has no defining word")
+            return report
+        # words are multilinear in the generators, so flipping generator l
+        # scales each word's image by s_l once per letter l; the rank of the
+        # images does not depend on the signs
+        unsigned = [b.eval_word(w).scale(c) for c, w in a.words]
+        if matrix_rank([im.coeffs for im in unsigned]) != a.dim:
+            report.add("isomorphism", False, "images not linearly independent")
+            return report
+        units = [a.unit(k) for k in range(a.dim)]
+        pairs = list(itertools.combinations(range(a.dim), 2))
+        for signs in itertools.product((1, -1), repeat=len(a.gen_indices)):
+            images = [im.scale(math.prod(signs[l - 1] for l in w.letters))
+                      for im, (_, w) in zip(unsigned, a.words)]
+
+            def phi(el):
+                return sum((images[k].scale(c) for k, c in el.coeffs.items()), b.zero())
+
+            bad = next(unpreserved_pairs(pairs, phi, units, images, a.bracket, b.bracket), None)
+            if bad is None:
+                report.add("isomorphism found", True)
+                report.add(f"generator signs {signs}", True)
+                return report
+        report.add("isomorphism", False,
+                   f"bracket ({a.basis[bad[0]]},{a.basis[bad[1]]}) not preserved under signs {signs}")
     return report
 
 

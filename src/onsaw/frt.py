@@ -19,12 +19,14 @@ right side [T_1(x), r] + [T'_2(y), r] comes from the two-leg kernel of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import loop_algebra as la
 from .exactnum import ParamPoly, SpectralLaurent, add_entry, plain
 from .report import Report, timer
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
+from .symcomb import unpreserved_pairs
 
 
 def build_T(sign: int, dim: int, cutoff: int) -> GeneratorMatrix:
@@ -127,29 +129,17 @@ def check_automorphism(which: str, dim: int, levels: int, eps=None) -> Report:
         syms = la.basis_symbols(dim, levels)
         units = [la.unit(dim, s) for s in syms]
         images = [theta(u) for u in units]
-        bad = None
-        for s, u, t in zip(syms, units, images):
-            if not (theta(t) - u).is_zero():
-                bad = la.LoopElement.symbol_str(s)
-                break
+        bad = next((la.LoopElement.symbol_str(s) for s, u, t in zip(syms, units, images)
+                    if not (theta(t) - u).is_zero()), None)
         report.add("involution", bad is None, bad and f"theta^2 != id at {bad}")
         # theta is linear and la.bracket antisymmetric, so the residual of
         # (b, a) is minus that of (a, b) and the diagonal's is 0: the first
         # failing ordered pair has a < b, and only those pairs are visited
-        bad = None
-        for a in range(len(syms)):
-            if bad:
-                break
-            for b in range(a + 1, len(syms)):
-                lhs = theta(la.bracket(units[a], units[b]))
-                rhs = la.bracket(images[a], images[b])
-                if not (lhs - rhs).is_zero():
-                    bad = (
-                        f"pair ({la.LoopElement.symbol_str(syms[a])}, "
-                        f"{la.LoopElement.symbol_str(syms[b])}) residual {lhs - rhs}"
-                    )
-                    break
-        report.add("bracket-morphism", bad is None, bad)
+        bad = next(unpreserved_pairs(combinations(range(len(syms)), 2), theta, units,
+                                     images, la.bracket, la.bracket), None)
+        report.add("bracket-morphism", bad is None,
+                   bad and f"pair ({la.LoopElement.symbol_str(syms[bad[0]])}, "
+                           f"{la.LoopElement.symbol_str(syms[bad[1]])}) residual {bad[2]}")
     return report
 
 

@@ -24,7 +24,7 @@ from .frt import apply_theta1, build_T, theta1_matrix_image
 from .report import Report, timer
 from .rmatrix import cleared_rbar_pair, parity_sign, rbar_clearing
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
-from .symcomb import SymbolCombination
+from .symcomb import SymbolCombination, unpreserved_pairs
 
 
 class OnsagerElement(SymbolCombination):
@@ -141,30 +141,17 @@ def check_presentation_agreement(dim: int, levels: int) -> Report:
         syms = onsager_basis(dim, levels)
         units = {s: OnsagerElement(dim, {s: 1}) for s in syms}
         embeds = {s: embed(units[s]) for s in syms}
-        bad = None
-        for sa in syms:
-            if bad:
-                break
-            # every ordered pair, unlike frt.check_automorphism: here
-            # bracket_abstract is the map under test and its defining formula
-            # is not antisymmetric by construction, so the (b, a) pairs are
-            # what certify its antisymmetry against the oracle
-            for sb in syms:
-                lhs = embed(bracket_abstract(units[sa], units[sb]))
-                rhs = la.bracket(embeds[sa], embeds[sb])
-                if not (lhs - rhs).is_zero():
-                    bad = (
-                        f"pair ({OnsagerElement.symbol_str(sa)}, "
-                        f"{OnsagerElement.symbol_str(sb)}) residual {lhs - rhs}"
-                    )
-                    break
-        report.add("embedding-oracle", bad is None, bad)
-        bad = None
-        for s in syms:
-            im = embeds[s]
-            if not (apply_theta1(im) - im).is_zero():
-                bad = OnsagerElement.symbol_str(s)
-                break
+        # every ordered pair, unlike frt.check_automorphism: here
+        # bracket_abstract is the map under test and its defining formula
+        # is not antisymmetric by construction, so the (b, a) pairs are
+        # what certify its antisymmetry against the oracle
+        bad = next(unpreserved_pairs(product(syms, repeat=2), embed, units, embeds,
+                                     bracket_abstract, la.bracket), None)
+        report.add("embedding-oracle", bad is None,
+                   bad and f"pair ({OnsagerElement.symbol_str(bad[0])}, "
+                           f"{OnsagerElement.symbol_str(bad[1])}) residual {bad[2]}")
+        bad = next((OnsagerElement.symbol_str(s) for s in syms
+                    if not (apply_theta1(embeds[s]) - embeds[s]).is_zero()), None)
         report.add("theta1-fixed", bad is None, bad and f"embed({bad}) not fixed")
     return report
 

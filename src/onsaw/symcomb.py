@@ -4,6 +4,11 @@ Both the affine loop algebra and the Onsager algebra represent elements
 as a sparse map from canonical basis symbols to coefficients, each kept
 in the plain form of ``exactnum.plain``; the map stores no zero, and its
 sums go through the ``exactnum`` kernels.
+
+``unpreserved_pairs`` is the one bracket-morphism certificate: the
+embedding of the Onsager algebra into the loop algebra, both involutions
+and the Askey-Wilson table isomorphism each take their first failing
+pair from it.
 """
 
 from __future__ import annotations
@@ -70,3 +75,12 @@ class SymbolCombination:
                           for sym in sorted(self.coeffs))
 
     __repr__ = __str__
+
+
+def unpreserved_pairs(pairs, phi, units, images, bracket_src, bracket_dst):
+    """Yield (a, b, phi([u_a, u_b]) - [images[a], images[b]]) for each pair
+    (a, b), in the caller's order, whose residual is nonzero."""
+    for a, b in pairs:
+        r = phi(bracket_src(units[a], units[b])) - bracket_dst(images[a], images[b])
+        if not r.is_zero():
+            yield a, b, r

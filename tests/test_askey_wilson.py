@@ -162,6 +162,33 @@ def test_pro1_double_bracket_locator_is_first(monkeypatch):
     assert fail and fail[0].detail.startswith("[e1,[e1,e2]] - e2 = ")
 
 
+def _plant_bracket(t, name_a, name_b):
+    """t with name_a added to [name_a, name_b] when bracketed in that order."""
+    real = t.bracket
+    a, b = t.unit(name_a), t.unit(name_b)
+
+    def patched(u, v):
+        out = real(u, v)
+        return out + a if u == a and v == b else out
+
+    t.bracket = patched
+    return t
+
+
+def test_presentation_locators_name_first_failure():
+    rep = aw.check_pro1(_plant_bracket(aw.aw3_table(), "e2", "e3"))
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("generator-expressions", "f1 = [e2,e3] residual -<1>"),
+        ("cubic-relations", "cubic relation at (1,2,3): <0>"),
+        ("alternative-cubic-relations", "alternative relation at (1,2,3): 2*<1>"),
+    ]
+    rep = aw.check_pro2(_plant_bracket(aw.aw4_table(), "e3", "e4"))
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("quadratic-and-quartic-relations", "relation at i=2: residual <1>"),
+        ("quintic-relations", "deep relation at i=2: <0> + 3*<5>"),
+    ]
+
+
 def test_pro1_word_evaluations():
     t = aw.aw3_table()
     # [e1, [e2, e3]] = g1
@@ -411,6 +438,32 @@ def test_match_identity_and_sign_twist():
     assert rep.ok(), [c.detail for c in rep.failures()]
     signs = [c.name for c in rep.checks if c.name.startswith("generator signs")]
     assert signs and "-1" in signs[0]
+
+
+def _match_failure(t):
+    rep = aw.match_tables(t, aw.aw3_table())
+    return [(c.name, c.status, c.detail) for c in rep.checks]
+
+
+def test_match_failure_reasons():
+    t = aw.aw3_table()
+    t.words[t.index["g2"]] = t.words[t.index["g1"]]
+    assert _match_failure(t) == [
+        ("isomorphism", "fail", "images not linearly independent")]
+    # a word left out, as import_table reads a null word
+    t = aw.aw3_table()
+    t.words[0] = None
+    assert _match_failure(t) == [
+        ("isomorphism", "fail", "basis e1 has no defining word")]
+    # [e1,f2] = -2 e3 instead of -e3: no sign tuple is a morphism, and the
+    # reason names the last one tried
+    t = aw.aw3_table()
+    e1, f2, e3 = (t.index[n] for n in ("e1", "f2", "e3"))
+    assert t.bracket_basis(e1, f2) == {e3: -1}
+    t.table[(e1, f2)] = {e3: -2}
+    rep = aw.match_tables(aw.aw3_table(), t)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("isomorphism", "fail", "bracket (e1,f2) not preserved under signs (-1, -1, -1)")]
 
 
 def test_export_import_roundtrip(tmp_path):

@@ -122,6 +122,45 @@ def test_presentation_negative_control():
     assert broken
 
 
+def _failures(rep):
+    return [(c.name, c.detail) for c in rep.failures()]
+
+
+def test_presentation_oracle_checks_both_orders(monkeypatch):
+    # B[1,1]^(1) added to one ordered pair only; that pair comes after its
+    # reverse in basis order, so a scan of the pairs a < b would miss it
+    real = on.bracket_abstract
+    sa, sb = ("B", 1, 2, 1), ("B0", 1, 2)
+    assert on.onsager_basis(2, 2).index(sa) > on.onsager_basis(2, 2).index(sb)
+
+    def bad(u, v):
+        out = real(u, v)
+        if u.coeffs == {sa: 1} and v.coeffs == {sb: 1}:
+            out = out + on.OnsagerElement(2, {("B", 1, 1, 1): 1})
+        return out
+
+    monkeypatch.setattr(on, "bracket_abstract", bad)
+    assert _failures(on.check_presentation_agreement(2, 2)) == [
+        ("embedding-oracle",
+         "pair (B[1,2]^(1), B[1,2]^(0)) residual -1/2*h[1]^(-1) + 1/2*h[1]^(1)"),
+    ]
+
+
+def test_presentation_theta1_fixed_control(monkeypatch):
+    # theta1 with the image of e[1,2]^(1) negated
+    s0 = la.off(1, 2, 1)
+
+    def bad(el):
+        out = apply_theta1(el)
+        c = el.coeffs.get(s0)
+        return out if c is None else out - apply_theta1(la.unit(el.dim, s0)).scale(2 * c)
+
+    monkeypatch.setattr(on, "apply_theta1", bad)
+    assert _failures(on.check_presentation_agreement(2, 2)) == [
+        ("theta1-fixed", "embed(B[1,2]^(1)) not fixed"),
+    ]
+
+
 def test_ui_relations():
     assert on.check_UI_relations(2, 2).ok()
     rep = on.check_UI_relations(3, 2)
