@@ -26,7 +26,7 @@ from .exactnum import (ParamPoly, SpectralLaurent, _mono_mul, _rational, add_coe
                        parse_param_poly, plain, terms_of)
 from .linsolve import SparseEliminator, matrix_rank
 from .onsager import reflection_rhs, reflection_scalars
-from .report import Report, timer
+from .report import Report
 from .rmatrix import cleared_rbar_pair, leg_swap_mismatch, parity_sign
 from .series import (BiSeries, GeneratorMatrix, commutator_cells, flat_entries,
                      laurent_xy_terms, mismatch_detail)
@@ -164,25 +164,24 @@ def check_jacobi(t: StructTable, label: str = "jacobi") -> Report:
     triple is rebuilt as a TableElement, to render its residual.
     """
     report = Report("verify aw-jacobi", {"basis": t.dim})
-    with timer(report):
-        con = _contraction(t)
-        bad = None
-        for ia, ib, ic in itertools.combinations(range(t.dim), 3):
-            acc: dict = {}
-            for p, q, r in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
-                for m, cqr in con.get((q, r), ()):
-                    for e, cpm in con.get((p, m), ()):
-                        for ma, qa in cqr:
-                            for mb, qb in cpm:
-                                key = (e, _mono_mul(ma, mb))
-                                acc[key] = acc.get(key, 0) + qa * qb
-            if any(acc.values()):
-                bad = (
-                    f"triple ({t.basis[ia]},{t.basis[ib]},{t.basis[ic]}) "
-                    f"residual {t.jacobi_residual(ia, ib, ic)}"
-                )
-                break
-        report.add(label, bad is None, bad)
+    con = _contraction(t)
+    bad = None
+    for ia, ib, ic in itertools.combinations(range(t.dim), 3):
+        acc: dict = {}
+        for p, q, r in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
+            for m, cqr in con.get((q, r), ()):
+                for e, cpm in con.get((p, m), ()):
+                    for ma, qa in cqr:
+                        for mb, qb in cpm:
+                            key = (e, _mono_mul(ma, mb))
+                            acc[key] = acc.get(key, 0) + qa * qb
+        if any(acc.values()):
+            bad = (
+                f"triple ({t.basis[ia]},{t.basis[ib]},{t.basis[ic]}) "
+                f"residual {t.jacobi_residual(ia, ib, ic)}"
+            )
+            break
+    report.add(label, bad is None, bad)
     return report
 
 
@@ -435,11 +434,10 @@ def reflection_aw_mismatch(t: StructTable, b: GeneratorMatrix):
 
 def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
     report = Report("verify aw-reflection", {"n": b.dim})
-    with timer(report):
-        mism = reflection_aw_mismatch(t, b)
-        report.add("reflection-exact", mism is None, mism and mismatch_detail(mism))
-        bad = b.first_trace()
-        report.add("tracelessness", bad is None, bad and f"x^{bad[0]}: trace {bad[1]}")
+    mism = reflection_aw_mismatch(t, b)
+    report.add("reflection-exact", mism is None, mism and mismatch_detail(mism))
+    bad = b.first_trace()
+    report.add("tracelessness", bad is None, bad and f"x^{bad[0]}: trace {bad[1]}")
     return report
 
 
@@ -449,85 +447,83 @@ def check_reflection_aw(t: StructTable, b: GeneratorMatrix) -> Report:
 def check_pro1(t: StructTable) -> Report:
     """Nested-commutator presentation of the rank-3 quotient."""
     report = Report("verify aw-presentation", {"n": 3})
-    with timer(report):
-        e = [t.unit(f"e{i}") for i in range(1, 4)]
+    e = [t.unit(f"e{i}") for i in range(1, 4)]
 
-        def br(u, v):
-            return t.bracket(u, v)
+    def br(u, v):
+        return t.bracket(u, v)
 
-        checks = [
-            ("f1 = [e2,e3]", t.unit("f1") - br(e[1], e[2])),
-            ("f2 = [e3,e1]", t.unit("f2") - br(e[2], e[0])),
-            ("f3 = [e1,e2]", t.unit("f3") - br(e[0], e[1])),
-            ("g1 = [e1,[e2,e3]]", t.unit("g1") - br(e[0], br(e[1], e[2]))),
-            ("g2 = [e2,[e3,e1]]", t.unit("g2") - br(e[1], br(e[2], e[0]))),
-        ]
-        bad = next(((n, r) for n, r in checks if not r.is_zero()), None)
-        report.add("generator-expressions", bad is None,
-                   bad and f"{bad[0]} residual {bad[1]}")
-        doubles = ((i, j, br(e[i], br(e[i], e[j])) - e[j])
-                   for i, j in itertools.permutations(range(3), 2))
-        bad = next((f"[e{i+1},[e{i+1},e{j+1}]] - e{j+1} = {r}"
-                    for i, j, r in doubles if not r.is_zero()), None)
-        report.add("double-bracket-relations", bad is None, bad)
-        triples = list(itertools.permutations((1, 2, 3)))
-        cubics = ((i, j, k, br(br(e[i-1], e[j-1]), br(e[j-1], e[k-1]))
-                   + br(e[i-1], e[k-1])
-                   + e[j-1].scale(ALPHA * _eps3(i, j, k))) for i, j, k in triples)
-        bad = next((f"cubic relation at ({i},{j},{k}): {r}"
-                    for i, j, k, r in cubics if not r.is_zero()), None)
-        report.add("cubic-relations", bad is None, bad)
-        alternatives = ((i, j, k, br(e[i-1], br(e[j-1], br(e[k-1], e[i-1])))
-                         - e[i-1].scale(ALPHA * _eps3(i, j, k))
-                         + br(e[j-1], e[k-1]).scale(2)) for i, j, k in triples)
-        bad = next((f"alternative relation at ({i},{j},{k}): {r}"
-                    for i, j, k, r in alternatives if not r.is_zero()), None)
-        report.add("alternative-cubic-relations", bad is None, bad)
-        # depth-3 generation: iterated brackets of e1,e2,e3 span all 8 dims
-        vectors = [e[i].coeffs for i in range(3)]
-        for i in range(3):
-            for j in range(3):
-                vectors.append(br(e[i], e[j]).coeffs)
-                for k in range(3):
-                    vectors.append(br(e[i], br(e[j], e[k])).coeffs)
-        rank = matrix_rank(vectors)
-        report.add(f"depth-3 generation rank {rank}/8", rank == 8,
-                   None if rank == 8 else "span deficient")
+    checks = [
+        ("f1 = [e2,e3]", t.unit("f1") - br(e[1], e[2])),
+        ("f2 = [e3,e1]", t.unit("f2") - br(e[2], e[0])),
+        ("f3 = [e1,e2]", t.unit("f3") - br(e[0], e[1])),
+        ("g1 = [e1,[e2,e3]]", t.unit("g1") - br(e[0], br(e[1], e[2]))),
+        ("g2 = [e2,[e3,e1]]", t.unit("g2") - br(e[1], br(e[2], e[0]))),
+    ]
+    bad = next(((n, r) for n, r in checks if not r.is_zero()), None)
+    report.add("generator-expressions", bad is None,
+               bad and f"{bad[0]} residual {bad[1]}")
+    doubles = ((i, j, br(e[i], br(e[i], e[j])) - e[j])
+               for i, j in itertools.permutations(range(3), 2))
+    bad = next((f"[e{i+1},[e{i+1},e{j+1}]] - e{j+1} = {r}"
+                for i, j, r in doubles if not r.is_zero()), None)
+    report.add("double-bracket-relations", bad is None, bad)
+    triples = list(itertools.permutations((1, 2, 3)))
+    cubics = ((i, j, k, br(br(e[i-1], e[j-1]), br(e[j-1], e[k-1]))
+               + br(e[i-1], e[k-1])
+               + e[j-1].scale(ALPHA * _eps3(i, j, k))) for i, j, k in triples)
+    bad = next((f"cubic relation at ({i},{j},{k}): {r}"
+                for i, j, k, r in cubics if not r.is_zero()), None)
+    report.add("cubic-relations", bad is None, bad)
+    alternatives = ((i, j, k, br(e[i-1], br(e[j-1], br(e[k-1], e[i-1])))
+                     - e[i-1].scale(ALPHA * _eps3(i, j, k))
+                     + br(e[j-1], e[k-1]).scale(2)) for i, j, k in triples)
+    bad = next((f"alternative relation at ({i},{j},{k}): {r}"
+                for i, j, k, r in alternatives if not r.is_zero()), None)
+    report.add("alternative-cubic-relations", bad is None, bad)
+    # depth-3 generation: iterated brackets of e1,e2,e3 span all 8 dims
+    vectors = [e[i].coeffs for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            vectors.append(br(e[i], e[j]).coeffs)
+            for k in range(3):
+                vectors.append(br(e[i], br(e[j], e[k])).coeffs)
+    rank = matrix_rank(vectors)
+    report.add(f"depth-3 generation rank {rank}/8", rank == 8,
+               None if rank == 8 else "span deficient")
     return report
 
 
 def check_pro2(t: StructTable) -> Report:
     """Nested-commutator presentation of the rank-4 quotient, indices mod 4."""
     report = Report("verify aw-presentation", {"n": 4})
-    with timer(report):
-        def e(i):
-            return t.unit(f"e{(i - 1) % 4 + 1}")
+    def e(i):
+        return t.unit(f"e{(i - 1) % 4 + 1}")
 
-        def br(u, v):
-            return t.bracket(u, v)
+    def br(u, v):
+        return t.bracket(u, v)
 
-        def residuals():
-            for i in range(1, 5):
-                yield i, br(e(i), br(e(i), e(i + 1))) - e(i + 1)
-                yield i, br(e(i), br(e(i), e(i - 1))) - e(i - 1)
-                yield i, br(e(i), e(i + 2))
-                yield i, br(br(e(i), e(i + 1)), br(e(i + 1), e(i + 2)))
+    def residuals():
+        for i in range(1, 5):
+            yield i, br(e(i), br(e(i), e(i + 1))) - e(i + 1)
+            yield i, br(e(i), br(e(i), e(i - 1))) - e(i - 1)
+            yield i, br(e(i), e(i + 2))
+            yield i, br(br(e(i), e(i + 1)), br(e(i + 1), e(i + 2)))
 
-        bad = next((f"relation at i={i}: residual {r}" for i, r in residuals()
-                    if not r.is_zero()), None)
-        report.add("quadratic-and-quartic-relations", bad is None, bad)
-        def quintics():
-            for i in range(1, 5):
-                yield f"mixed relation at i={i}", (
-                    br(br(e(i), e(i + 1)), br(e(i + 1), br(e(i + 2), e(i + 3))))
-                    + e(i + 1).scale(ALPHA)
-                    + br(e(i), br(e(i + 2), e(i + 3))))
-                w = br(e(i), br(e(i + 1), e(i + 2)))
-                yield f"deep relation at i={i}", (
-                    br(w, br(e(i + 3), w)) + e(i + 3).scale(4) - w.scale(ALPHA * 2))
+    bad = next((f"relation at i={i}: residual {r}" for i, r in residuals()
+                if not r.is_zero()), None)
+    report.add("quadratic-and-quartic-relations", bad is None, bad)
+    def quintics():
+        for i in range(1, 5):
+            yield f"mixed relation at i={i}", (
+                br(br(e(i), e(i + 1)), br(e(i + 1), br(e(i + 2), e(i + 3))))
+                + e(i + 1).scale(ALPHA)
+                + br(e(i), br(e(i + 2), e(i + 3))))
+            w = br(e(i), br(e(i + 1), e(i + 2)))
+            yield f"deep relation at i={i}", (
+                br(w, br(e(i + 3), w)) + e(i + 3).scale(4) - w.scale(ALPHA * 2))
 
-        bad = next((f"{name}: {r}" for name, r in quintics() if not r.is_zero()), None)
-        report.add("quintic-relations", bad is None, bad)
+    bad = next((f"{name}: {r}" for name, r in quintics() if not r.is_zero()), None)
+    report.add("quintic-relations", bad is None, bad)
     return report
 
 
@@ -616,93 +612,92 @@ def extract_structure_constants(rank: int):
     the extracted table.
     """
     report = Report("extract aw", {"n": rank, "convention": "literal"})
-    with timer(report):
-        num = build_B_general(rank)
-        words = _words_of(num)
-        widx = {w: k for k, w in enumerate(words)}
-        # right-hand side: linear in the words; left-hand side: bilinear in
-        # the unknown brackets of word pairs.  Neither the word coefficients
-        # nor the clearing multiplier carries alpha, so the rows are rational
-        # (``add_row`` rejects any other coefficient).  The right side is the
-        # one ``onsager.reflection_rhs`` forms, read from the same kernel
-        # cell by cell on the flat ansatz, and only for the quadruples
-        # assembled.
-        clearing, r12c, r21c = cleared_rbar_pair(rank)
-        scal = laurent_xy_terms(clearing)
-        flat = flat_entries(num, widx)
-        rbar_s, rbar_t = reflection_scalars(r12c, r21c)
-        rhs_cell = commutator_cells(rank, flat, rbar_s, flat, rbar_t, dens=_aw_dens(rank))
-        # The leg swap P maps quadruple (i,k,j,l) to its mirror (k,i,l,j).
-        # With C odd under x <-> y, the mirror's left side at (b, a) is this
-        # one's at (a, b) (each unknown pair is sorted with a sign flip).
-        # With r12c = -P r21c(y,x) P as well, P maps -[B_1(x), r21c] d(y)
-        # to [B_2(y), r12c] d(x) and back, so the right side is P-symmetric
-        # too: the mirror's right-hand cell at (b, a) is this one's at
-        # (a, b), and the mirror's rows repeat these exactly.  Both facts
-        # are checked here once; a quadruple whose mirror came earlier is
-        # then counted, not assembled: ``add_row`` would drop every row.
-        sc_of = {(ex, ey): sc for ex, ey, sc in scal}
-        even = next((xy for xy, sc in sorted(sc_of.items()) if sc_of.get(xy[::-1]) != -sc), None)
-        if even is not None:
-            raise ValueError(f"the clearing is not odd under x <-> y at x^{even[0]} y^{even[1]}")
-        bad = leg_swap_mismatch(rank, r12c, r21c)
-        if bad is not None:
-            raise ValueError(f"r12c differs from -P r21c(y,x) P at entry {bad}")
-        elim = SparseEliminator()
-        rows = 0
-        quad_rows: dict = {}
-        for i in range(1, rank + 1):
-            for k in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    for l in range(1, rank + 1):
-                        mirror = (k, i, l, j)
-                        if mirror < (i, k, j, l):
-                            rows += quad_rows[mirror]
-                            continue
-                        lhs_grid: dict = {}
-                        for a, wa, ca in flat[(i, j)]:
-                            for b, wb, cb in flat[(k, l)]:
-                                if wa == wb:
-                                    continue
-                                if wa < wb:
-                                    pair, c = (wa, wb), ca * cb
-                                else:
-                                    pair, c = (wb, wa), -ca * cb
-                                for ex, ey, sc in scal:
-                                    add_coeff(lhs_grid.setdefault((a + ex, b + ey), {}),
-                                              pair, c * sc)
-                        rhs_grid = rhs_cell(i, k, j, l)
-                        mkeys = sorted(set(lhs_grid) | set(rhs_grid))
-                        for mkey in mkeys:
-                            elim.add_row(lhs_grid.get(mkey, {}), rhs_grid.get(mkey, {}))
-                        quad_rows[i, k, j, l] = len(mkeys)
-                        rows += len(mkeys)
-        all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
-        npairs = len(all_pairs)
-        result = elim.solve(all_pairs)
-        report.add(
-            f"system: {rows} rows, {npairs} bracket unknowns, rank {elim.rank()}",
-            True,
-        )
-        report.add("consistency", not result.inconsistent,
-                   result.inconsistent and f"{len(result.inconsistent)} irreducible residual equations")
-        det = not result.free_cols and not result.entangled
-        report.add("all brackets determined", det,
-                   None if det else f"free: {result.free_cols} entangled: {result.entangled}")
-        # holds by construction: every pivot is a unit of Q, so back-substitution
-        # divides by nothing and each bracket coefficient is a polynomial in alpha
-        report.add("polynomial structure constants", True)
-        if result.inconsistent or not det:
-            return None, report
+    num = build_B_general(rank)
+    words = _words_of(num)
+    widx = {w: k for k, w in enumerate(words)}
+    # right-hand side: linear in the words; left-hand side: bilinear in
+    # the unknown brackets of word pairs.  Neither the word coefficients
+    # nor the clearing multiplier carries alpha, so the rows are rational
+    # (``add_row`` rejects any other coefficient).  The right side is the
+    # one ``onsager.reflection_rhs`` forms, read from the same kernel
+    # cell by cell on the flat ansatz, and only for the quadruples
+    # assembled.
+    clearing, r12c, r21c = cleared_rbar_pair(rank)
+    scal = laurent_xy_terms(clearing)
+    flat = flat_entries(num, widx)
+    rbar_s, rbar_t = reflection_scalars(r12c, r21c)
+    rhs_cell = commutator_cells(rank, flat, rbar_s, flat, rbar_t, dens=_aw_dens(rank))
+    # The leg swap P maps quadruple (i,k,j,l) to its mirror (k,i,l,j).
+    # With C odd under x <-> y, the mirror's left side at (b, a) is this
+    # one's at (a, b) (each unknown pair is sorted with a sign flip).
+    # With r12c = -P r21c(y,x) P as well, P maps -[B_1(x), r21c] d(y)
+    # to [B_2(y), r12c] d(x) and back, so the right side is P-symmetric
+    # too: the mirror's right-hand cell at (b, a) is this one's at
+    # (a, b), and the mirror's rows repeat these exactly.  Both facts
+    # are checked here once; a quadruple whose mirror came earlier is
+    # then counted, not assembled: ``add_row`` would drop every row.
+    sc_of = {(ex, ey): sc for ex, ey, sc in scal}
+    even = next((xy for xy, sc in sorted(sc_of.items()) if sc_of.get(xy[::-1]) != -sc), None)
+    if even is not None:
+        raise ValueError(f"the clearing is not odd under x <-> y at x^{even[0]} y^{even[1]}")
+    bad = leg_swap_mismatch(rank, r12c, r21c)
+    if bad is not None:
+        raise ValueError(f"r12c differs from -P r21c(y,x) P at entry {bad}")
+    elim = SparseEliminator()
+    rows = 0
+    quad_rows: dict = {}
+    for i in range(1, rank + 1):
+        for k in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                for l in range(1, rank + 1):
+                    mirror = (k, i, l, j)
+                    if mirror < (i, k, j, l):
+                        rows += quad_rows[mirror]
+                        continue
+                    lhs_grid: dict = {}
+                    for a, wa, ca in flat[(i, j)]:
+                        for b, wb, cb in flat[(k, l)]:
+                            if wa == wb:
+                                continue
+                            if wa < wb:
+                                pair, c = (wa, wb), ca * cb
+                            else:
+                                pair, c = (wb, wa), -ca * cb
+                            for ex, ey, sc in scal:
+                                add_coeff(lhs_grid.setdefault((a + ex, b + ey), {}),
+                                          pair, c * sc)
+                    rhs_grid = rhs_cell(i, k, j, l)
+                    mkeys = sorted(set(lhs_grid) | set(rhs_grid))
+                    for mkey in mkeys:
+                        elim.add_row(lhs_grid.get(mkey, {}), rhs_grid.get(mkey, {}))
+                    quad_rows[i, k, j, l] = len(mkeys)
+                    rows += len(mkeys)
+    all_pairs = [(a, b) for a in range(len(words)) for b in range(a + 1, len(words))]
+    npairs = len(all_pairs)
+    result = elim.solve(all_pairs)
+    report.add(
+        f"system: {rows} rows, {npairs} bracket unknowns, rank {elim.rank()}",
+        True,
+    )
+    report.add("consistency", not result.inconsistent,
+               result.inconsistent and f"{len(result.inconsistent)} irreducible residual equations")
+    det = not result.free_cols and not result.entangled
+    report.add("all brackets determined", det,
+               None if det else f"free: {result.free_cols} entangled: {result.entangled}")
+    # holds by construction: every pivot is a unit of Q, so back-substitution
+    # divides by nothing and each bracket coefficient is a polynomial in alpha
+    report.add("polynomial structure constants", True)
+    if result.inconsistent or not det:
+        return None, report
 
-        basis = [str(w) for w in words]
-        gen_indices = [widx[Word((i,))] for i in range(1, rank + 1)]
-        tbl = StructTable(rank, basis, gen_indices,
-                          [(1, w) for w in words])
-        for (a, b), vec in result.solutions.items():
-            tbl.set_bracket(a, b, vec)
-        report.extend(check_jacobi(tbl, label=f"extracted-jacobi rank {rank}"))
-        return tbl, report
+    basis = [str(w) for w in words]
+    gen_indices = [widx[Word((i,))] for i in range(1, rank + 1)]
+    tbl = StructTable(rank, basis, gen_indices,
+                      [(1, w) for w in words])
+    for (a, b), vec in result.solutions.items():
+        tbl.set_bracket(a, b, vec)
+    report.extend(check_jacobi(tbl, label=f"extracted-jacobi rank {rank}"))
+    return tbl, report
 
 
 def match_tables(a: StructTable, b: StructTable) -> Report:
@@ -712,37 +707,36 @@ def match_tables(a: StructTable, b: StructTable) -> Report:
     through their defining words.  Reports the map or the obstruction.
     """
     report = Report("match aw-tables", {"dim": a.dim})
-    with timer(report):
-        if a.dim != b.dim:
-            report.add("dimension", False, f"{a.dim} vs {b.dim}")
-            return report
-        missing = next((a.basis[k] for k, w in enumerate(a.words) if w is None), None)
-        if missing is not None:
-            report.add("isomorphism", False, f"basis {missing} has no defining word")
-            return report
-        # words are multilinear in the generators, so flipping generator l
-        # scales each word's image by s_l once per letter l; the rank of the
-        # images does not depend on the signs
-        unsigned = [b.eval_word(w).scale(c) for c, w in a.words]
-        if matrix_rank([im.coeffs for im in unsigned]) != a.dim:
-            report.add("isomorphism", False, "images not linearly independent")
-            return report
-        units = [a.unit(k) for k in range(a.dim)]
-        pairs = list(itertools.combinations(range(a.dim), 2))
-        for signs in itertools.product((1, -1), repeat=len(a.gen_indices)):
-            images = [im.scale(math.prod(signs[l - 1] for l in w.letters))
-                      for im, (_, w) in zip(unsigned, a.words)]
+    if a.dim != b.dim:
+        report.add("dimension", False, f"{a.dim} vs {b.dim}")
+        return report
+    missing = next((a.basis[k] for k, w in enumerate(a.words) if w is None), None)
+    if missing is not None:
+        report.add("isomorphism", False, f"basis {missing} has no defining word")
+        return report
+    # words are multilinear in the generators, so flipping generator l
+    # scales each word's image by s_l once per letter l; the rank of the
+    # images does not depend on the signs
+    unsigned = [b.eval_word(w).scale(c) for c, w in a.words]
+    if matrix_rank([im.coeffs for im in unsigned]) != a.dim:
+        report.add("isomorphism", False, "images not linearly independent")
+        return report
+    units = [a.unit(k) for k in range(a.dim)]
+    pairs = list(itertools.combinations(range(a.dim), 2))
+    for signs in itertools.product((1, -1), repeat=len(a.gen_indices)):
+        images = [im.scale(math.prod(signs[l - 1] for l in w.letters))
+                  for im, (_, w) in zip(unsigned, a.words)]
 
-            def phi(el):
-                return sum((images[k].scale(c) for k, c in el.coeffs.items()), b.zero())
+        def phi(el):
+            return sum((images[k].scale(c) for k, c in el.coeffs.items()), b.zero())
 
-            bad = next(unpreserved_pairs(pairs, phi, units, images, a.bracket, b.bracket), None)
-            if bad is None:
-                report.add("isomorphism found", True)
-                report.add(f"generator signs {signs}", True)
-                return report
-        report.add("isomorphism", False,
-                   f"bracket ({a.basis[bad[0]]},{a.basis[bad[1]]}) not preserved under signs {signs}")
+        bad = next(unpreserved_pairs(pairs, phi, units, images, a.bracket, b.bracket), None)
+        if bad is None:
+            report.add("isomorphism found", True)
+            report.add(f"generator signs {signs}", True)
+            return report
+    report.add("isomorphism", False,
+               f"bracket ({a.basis[bad[0]]},{a.basis[bad[1]]}) not preserved under signs {signs}")
     return report
 
 
@@ -798,9 +792,8 @@ def check_aw(rank: int) -> Report:
     if rank not in (3, 4):
         raise ValueError("explicit tables exist for ranks 3 and 4 only")
     report = Report("verify aw", {"n": rank})
-    with timer(report):
-        t = aw3_table() if rank == 3 else aw4_table()
-        report.extend(check_jacobi(t))
-        report.extend(check_reflection_aw(t, build_B(t)))
-        report.extend(check_pro1(t) if rank == 3 else check_pro2(t))
+    t = aw3_table() if rank == 3 else aw4_table()
+    report.extend(check_jacobi(t))
+    report.extend(check_reflection_aw(t, build_B(t)))
+    report.extend(check_pro1(t) if rank == 3 else check_pro2(t))
     return report

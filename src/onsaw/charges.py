@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import onsager as on
 from .exactnum import ParamPoly, SpectralLaurent, add_coeff, terms_of
-from .report import Report, timer
+from .report import Report
 from .rmatrix import TensorOperator, parity_sign, rbar_closed
 
 
@@ -66,14 +66,13 @@ def trace_condition_residual(dim: int, m_builder=build_M) -> TensorOperator:
 
 def check_trace_condition(dim: int) -> Report:
     report = Report("verify charges-trace-condition", {"n": dim})
-    with timer(report):
-        resid = trace_condition_residual(dim)
-        loc = resid.first_nonzero()
-        detail = None
-        if loc is not None:
-            rd, cd, mono, coeff = loc
-            detail = f"entry {rd}->{cd} residual coefficient {coeff}"
-        report.add("trace-condition", loc is None, detail)
+    resid = trace_condition_residual(dim)
+    loc = resid.first_nonzero()
+    detail = None
+    if loc is not None:
+        rd, cd, mono, coeff = loc
+        detail = f"entry {rd}->{cd} residual coefficient {coeff}"
+    report.add("trace-condition", loc is None, detail)
     return report
 
 
@@ -180,22 +179,21 @@ def proportionality(a: on.OnsagerElement, b: on.OnsagerElement):
 def check_charge_formulas(dim: int, max_order: int) -> Report:
     """Expansion coefficients vs the displayed charge formulas."""
     report = Report("verify charges-formulas", {"n": dim, "max_order": max_order})
-    with timer(report):
-        charges = extract_charges(dim, max_order)
-        for ch in charges:
-            shown = displayed_charge(dim, ch.order)
-            q = proportionality(ch.value, shown)
-            name = f"I_{ch.order} closed form"
-            if q is None:
-                report.add(name, False, f"not proportional: expansion {ch.value}")
-            else:
-                report.add(f"{name} (proportionality {q})", True)
-        # the generic formula evaluated at the n=1 boundary matches I_1
-        if max_order >= 1:
-            gen1 = generic_charge(dim, 1)
-            agree = (gen1 - displayed_charge(dim, 1)).is_zero()
-            report.add("generic formula boundary n=1", agree,
-                       None if agree else "generic(1) differs from I_1")
+    charges = extract_charges(dim, max_order)
+    for ch in charges:
+        shown = displayed_charge(dim, ch.order)
+        q = proportionality(ch.value, shown)
+        name = f"I_{ch.order} closed form"
+        if q is None:
+            report.add(name, False, f"not proportional: expansion {ch.value}")
+        else:
+            report.add(f"{name} (proportionality {q})", True)
+    # the generic formula evaluated at the n=1 boundary matches I_1
+    if max_order >= 1:
+        gen1 = generic_charge(dim, 1)
+        agree = (gen1 - displayed_charge(dim, 1)).is_zero()
+        report.add("generic formula boundary n=1", agree,
+                   None if agree else "generic(1) differs from I_1")
     return report
 
 
@@ -213,39 +211,36 @@ def b_commutativity_mismatch(dim: int, cutoff: int):
 
 def check_b_commutativity(dim: int, cutoff: int) -> Report:
     report = Report("verify charges-generating-fn", {"n": dim, "cutoff": cutoff})
-    with timer(report):
-        mism = b_commutativity_mismatch(dim, cutoff)
-        detail = None
-        if mism:
-            a, b, resid = mism
-            detail = f"[b_{a}, b_{b}] = {resid}"
-        report.add("generating-function-commutativity", mism is None, detail)
+    mism = b_commutativity_mismatch(dim, cutoff)
+    detail = None
+    if mism:
+        a, b, resid = mism
+        detail = f"[b_{a}, b_{b}] = {resid}"
+    report.add("generating-function-commutativity", mism is None, detail)
     return report
 
 
 def check_charge_commutativity(dim: int, max_order: int) -> Report:
     report = Report("verify charges-commutativity", {"n": dim, "max_order": max_order})
-    with timer(report):
-        charges = extract_charges(dim, max_order)
-        # [u, u] = 0 and [u, v] = -[v, u]: the pairs a < b meet the same first failure
-        brackets = ((a, b, on.bracket_abstract(a.value, b.value))
-                    for a, b in itertools.combinations(charges, 2))
-        bad = next((f"[I_{a.order}, I_{b.order}] = {resid}"
-                    for a, b, resid in brackets if not resid.is_zero()), None)
-        report.add("pairwise-commutativity", bad is None, bad)
-        bad = next((f"I_{ch.order} coefficient not linear in parameters"
-                    for ch in charges for coeff in ch.value.coeffs.values()
-                    for mono in terms_of(coeff) if sum(e for _, e in mono) != 1), None)
-        report.add("parameter-linearity", bad is None, bad)
+    charges = extract_charges(dim, max_order)
+    # [u, u] = 0 and [u, v] = -[v, u]: the pairs a < b meet the same first failure
+    brackets = ((a, b, on.bracket_abstract(a.value, b.value))
+                for a, b in itertools.combinations(charges, 2))
+    bad = next((f"[I_{a.order}, I_{b.order}] = {resid}"
+                for a, b, resid in brackets if not resid.is_zero()), None)
+    report.add("pairwise-commutativity", bad is None, bad)
+    bad = next((f"I_{ch.order} coefficient not linear in parameters"
+                for ch in charges for coeff in ch.value.coeffs.values()
+                for mono in terms_of(coeff) if sum(e for _, e in mono) != 1), None)
+    report.add("parameter-linearity", bad is None, bad)
     return report
 
 
 def check_charges(dim: int, max_order: int) -> Report:
     """The full charge suite: condition, b(x) commutativity, charges."""
     report = Report("verify charges", {"n": dim, "max_order": max_order})
-    with timer(report):
-        report.extend(check_trace_condition(dim))
-        report.extend(check_b_commutativity(dim, max_order + 2))
-        report.extend(check_charge_commutativity(dim, max_order))
-        report.extend(check_charge_formulas(dim, max_order))
+    report.extend(check_trace_condition(dim))
+    report.extend(check_b_commutativity(dim, max_order + 2))
+    report.extend(check_charge_commutativity(dim, max_order))
+    report.extend(check_charge_formulas(dim, max_order))
     return report

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from . import loop_algebra as la
 from .exactnum import ParamPoly, SpectralLaurent, add_entry, plain
-from .report import Report, timer
+from .report import Report
 from .rmatrix import TensorOperator, build_r, parity_sign, u_signs
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
 from .symcomb import unpreserved_pairs
@@ -124,22 +124,21 @@ def check_automorphism(which: str, dim: int, levels: int, eps=None) -> Report:
         "verify automorphism",
         {"which": which, "n": dim, "levels": levels, "epsilon": _eps_label(eps)},
     )
-    with timer(report):
-        theta = _theta_fn(which, eps)
-        syms = la.basis_symbols(dim, levels)
-        units = [la.unit(dim, s) for s in syms]
-        images = [theta(u) for u in units]
-        bad = next((la.LoopElement.symbol_str(s) for s, u, t in zip(syms, units, images)
-                    if not (theta(t) - u).is_zero()), None)
-        report.add("involution", bad is None, bad and f"theta^2 != id at {bad}")
-        # theta is linear and la.bracket antisymmetric, so the residual of
-        # (b, a) is minus that of (a, b) and the diagonal's is 0: the first
-        # failing ordered pair has a < b, and only those pairs are visited
-        bad = next(unpreserved_pairs(combinations(range(len(syms)), 2), theta, units,
-                                     images, la.bracket, la.bracket), None)
-        report.add("bracket-morphism", bad is None,
-                   bad and f"pair ({la.LoopElement.symbol_str(syms[bad[0]])}, "
-                           f"{la.LoopElement.symbol_str(syms[bad[1]])}) residual {bad[2]}")
+    theta = _theta_fn(which, eps)
+    syms = la.basis_symbols(dim, levels)
+    units = [la.unit(dim, s) for s in syms]
+    images = [theta(u) for u in units]
+    bad = next((la.LoopElement.symbol_str(s) for s, u, t in zip(syms, units, images)
+                if not (theta(t) - u).is_zero()), None)
+    report.add("involution", bad is None, bad and f"theta^2 != id at {bad}")
+    # theta is linear and la.bracket antisymmetric, so the residual of
+    # (b, a) is minus that of (a, b) and the diagonal's is 0: the first
+    # failing ordered pair has a < b, and only those pairs are visited
+    bad = next(unpreserved_pairs(combinations(range(len(syms)), 2), theta, units,
+                                 images, la.bracket, la.bracket), None)
+    report.add("bracket-morphism", bad is None,
+               bad and f"pair ({la.LoopElement.symbol_str(syms[bad[0]])}, "
+                       f"{la.LoopElement.symbol_str(syms[bad[1]])}) residual {bad[2]}")
     return report
 
 
@@ -222,26 +221,25 @@ def check_theta_matrix_form(which: str, dim: int, cutoff: int, eps=None) -> Repo
         "verify automorphism-matrix",
         {"which": which, "n": dim, "cutoff": cutoff, "epsilon": _eps_label(eps)},
     )
-    with timer(report):
-        for sign, name in ((1, "T+"), (-1, "T-")):
-            t = build_T(sign, dim, cutoff)
-            t_opp = build_T(-sign, dim, cutoff)
-            if which == "theta1":
-                image = theta1_matrix_image(t_opp)
-                gen = t.map_entries(apply_theta1)
-                window = (-cutoff, cutoff)
-            else:
-                e = eps if eps is not None else eps_symbol()
-                image = theta2_matrix_image(t_opp, sign, e)
-                gen = t.map_entries(lambda v: apply_theta2(v, e))
-                window = (-(cutoff - 1), cutoff - 1)
-            mism = image.first_mismatch(gen, window)
-            detail = None
-            if mism:
-                ex, i, j, lft, rgt = mism
-                detail = (f"exponent {ex} entry ({i},{j}): "
-                          f"matrix {entry_str(lft)} vs generator {entry_str(rgt)}")
-            report.add(f"{which}-matrix-form-{name}", mism is None, detail)
+    for sign, name in ((1, "T+"), (-1, "T-")):
+        t = build_T(sign, dim, cutoff)
+        t_opp = build_T(-sign, dim, cutoff)
+        if which == "theta1":
+            image = theta1_matrix_image(t_opp)
+            gen = t.map_entries(apply_theta1)
+            window = (-cutoff, cutoff)
+        else:
+            e = eps if eps is not None else eps_symbol()
+            image = theta2_matrix_image(t_opp, sign, e)
+            gen = t.map_entries(lambda v: apply_theta2(v, e))
+            window = (-(cutoff - 1), cutoff - 1)
+        mism = image.first_mismatch(gen, window)
+        detail = None
+        if mism:
+            ex, i, j, lft, rgt = mism
+            detail = (f"exponent {ex} entry ({i},{j}): "
+                      f"matrix {entry_str(lft)} vs generator {entry_str(rgt)}")
+        report.add(f"{which}-matrix-form-{name}", mism is None, detail)
     return report
 
 
@@ -312,14 +310,13 @@ def _trace_failures(dim: int, cutoff: int):
 def check_frt(dim: int, cutoff: int) -> Report:
     """All exchange relations at the given truncation."""
     report = Report("verify frt", {"n": dim, "cutoff": cutoff})
-    with timer(report):
-        for sa, sb, name in ((1, 1, "like-sign (+,+)"), (-1, -1, "like-sign (-,-)"),
-                             (1, -1, "mixed-sign with central term")):
-            mism, window = frt_relation_mismatch(dim, cutoff, sa, sb)
-            detail = None if mism is None else mismatch_detail(mism)
-            report.add(f"exchange {name} [window {window}]", mism is None, detail)
-        bad = next(_centrality_failures(dim, cutoff), None)
-        report.add("centrality", bad is None, bad)
-        bad = next(_trace_failures(dim, cutoff), None)
-        report.add("tracelessness", bad is None, bad)
+    for sa, sb, name in ((1, 1, "like-sign (+,+)"), (-1, -1, "like-sign (-,-)"),
+                         (1, -1, "mixed-sign with central term")):
+        mism, window = frt_relation_mismatch(dim, cutoff, sa, sb)
+        detail = None if mism is None else mismatch_detail(mism)
+        report.add(f"exchange {name} [window {window}]", mism is None, detail)
+    bad = next(_centrality_failures(dim, cutoff), None)
+    report.add("centrality", bad is None, bad)
+    bad = next(_trace_failures(dim, cutoff), None)
+    report.add("tracelessness", bad is None, bad)
     return report

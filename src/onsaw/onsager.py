@@ -21,7 +21,7 @@ from itertools import product
 from . import loop_algebra as la
 from .exactnum import SpectralLaurent, add_coeff
 from .frt import apply_theta1, build_T, theta1_matrix_image
-from .report import Report, timer
+from .report import Report
 from .rmatrix import cleared_rbar_pair, parity_sign, rbar_clearing
 from .series import BiSeries, GeneratorMatrix, entry_str, mismatch_detail, windowed
 from .symcomb import SymbolCombination, unpreserved_pairs
@@ -137,22 +137,21 @@ def check_presentation_agreement(dim: int, levels: int) -> Report:
     if dim < 2:
         raise ValueError("need N >= 2")
     report = Report("verify onsager", {"n": dim, "levels": levels})
-    with timer(report):
-        syms = onsager_basis(dim, levels)
-        units = {s: OnsagerElement(dim, {s: 1}) for s in syms}
-        embeds = {s: embed(units[s]) for s in syms}
-        # every ordered pair, unlike frt.check_automorphism: here
-        # bracket_abstract is the map under test and its defining formula
-        # is not antisymmetric by construction, so the (b, a) pairs are
-        # what certify its antisymmetry against the oracle
-        bad = next(unpreserved_pairs(product(syms, repeat=2), embed, units, embeds,
-                                     bracket_abstract, la.bracket), None)
-        report.add("embedding-oracle", bad is None,
-                   bad and f"pair ({OnsagerElement.symbol_str(bad[0])}, "
-                           f"{OnsagerElement.symbol_str(bad[1])}) residual {bad[2]}")
-        bad = next((OnsagerElement.symbol_str(s) for s in syms
-                    if not (apply_theta1(embeds[s]) - embeds[s]).is_zero()), None)
-        report.add("theta1-fixed", bad is None, bad and f"embed({bad}) not fixed")
+    syms = onsager_basis(dim, levels)
+    units = {s: OnsagerElement(dim, {s: 1}) for s in syms}
+    embeds = {s: embed(units[s]) for s in syms}
+    # every ordered pair, unlike frt.check_automorphism: here
+    # bracket_abstract is the map under test and its defining formula
+    # is not antisymmetric by construction, so the (b, a) pairs are
+    # what certify its antisymmetry against the oracle
+    bad = next(unpreserved_pairs(product(syms, repeat=2), embed, units, embeds,
+                                 bracket_abstract, la.bracket), None)
+    report.add("embedding-oracle", bad is None,
+               bad and f"pair ({OnsagerElement.symbol_str(bad[0])}, "
+                       f"{OnsagerElement.symbol_str(bad[1])}) residual {bad[2]}")
+    bad = next((OnsagerElement.symbol_str(s) for s in syms
+                if not (apply_theta1(embeds[s]) - embeds[s]).is_zero()), None)
+    report.add("theta1-fixed", bad is None, bad and f"embed({bad}) not fixed")
     return report
 
 
@@ -161,69 +160,68 @@ def check_UI_relations(dim: int, levels: int) -> Report:
     if dim < 2:
         raise ValueError("need N >= 2")
     report = Report("verify onsager-ui", {"n": dim, "levels": levels})
-    with timer(report):
-        rng = range(-levels, levels + 1)
-        idx = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1) if i != j]
+    rng = range(-levels, levels + 1)
+    idx = [(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1) if i != j]
 
-        def A(i, j, n):
-            return canonicalize_B(dim, i, j, n)
+    def A(i, j, n):
+        return canonicalize_B(dim, i, j, n)
 
-        def G(i, n):
-            return canonicalize_B(dim, i, i, n) - canonicalize_B(dim, i + 1, i + 1, n)
+    def G(i, n):
+        return canonicalize_B(dim, i, i, n) - canonicalize_B(dim, i + 1, i + 1, n)
 
-        # each generator yields the relation's failures in loop order;
-        # the report names the first
-        def aa_failures():
-            for (i, j), (k, l), m, n in product(idx, idx, rng, rng):
-                if m < n:
-                    continue  # stated for m >= n; rest is antisymmetry
-                lhs = bracket_abstract(A(i, j, m), A(k, l, n))
-                rhs = zero(dim)
-                if j == k:
-                    rhs = rhs + A(i, l, m + n)
-                if i == l:
-                    rhs = rhs - A(k, j, m + n)
-                if i == k:
-                    if j < l:
-                        rhs = rhs + A(j, l, n - m).scale(parity_sign(i + j + 1 + m * dim))
-                    if l < j:
-                        rhs = rhs + A(l, j, m - n).scale(parity_sign(i + l + n * dim))
-                if j == l:
-                    if i < k:
-                        rhs = rhs + A(i, k, m - n).scale(parity_sign(k + l + 1 + n * dim))
-                    if k < i:
-                        rhs = rhs + A(k, i, n - m).scale(parity_sign(i + l + m * dim))
-                if i == k and j == l:
-                    # telescoped sum of G_s^(m-n), s = i..j-1, either order
-                    gsum = canonicalize_B(dim, i, i, m - n) - canonicalize_B(dim, j, j, m - n)
-                    rhs = rhs + gsum.scale(parity_sign(i + j + 1 + n * dim))
-                if not (lhs - rhs).is_zero():
-                    yield f"[A[{i},{j}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
+    # each generator yields the relation's failures in loop order;
+    # the report names the first
+    def aa_failures():
+        for (i, j), (k, l), m, n in product(idx, idx, rng, rng):
+            if m < n:
+                continue  # stated for m >= n; rest is antisymmetry
+            lhs = bracket_abstract(A(i, j, m), A(k, l, n))
+            rhs = zero(dim)
+            if j == k:
+                rhs = rhs + A(i, l, m + n)
+            if i == l:
+                rhs = rhs - A(k, j, m + n)
+            if i == k:
+                if j < l:
+                    rhs = rhs + A(j, l, n - m).scale(parity_sign(i + j + 1 + m * dim))
+                if l < j:
+                    rhs = rhs + A(l, j, m - n).scale(parity_sign(i + l + n * dim))
+            if j == l:
+                if i < k:
+                    rhs = rhs + A(i, k, m - n).scale(parity_sign(k + l + 1 + n * dim))
+                if k < i:
+                    rhs = rhs + A(k, i, n - m).scale(parity_sign(i + l + m * dim))
+            if i == k and j == l:
+                # telescoped sum of G_s^(m-n), s = i..j-1, either order
+                gsum = canonicalize_B(dim, i, i, m - n) - canonicalize_B(dim, j, j, m - n)
+                rhs = rhs + gsum.scale(parity_sign(i + j + 1 + n * dim))
+            if not (lhs - rhs).is_zero():
+                yield f"[A[{i},{j}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
 
-        def ga_failures():
-            for gi, (k, l), m, n in product(range(1, dim), idx, rng, rng):
-                lhs = bracket_abstract(G(gi, m), A(k, l, n))
-                w = (
-                    (1 if gi == k else 0)
-                    - (1 if k == gi + 1 else 0)
-                    - (1 if l == gi else 0)
-                    + (1 if l == gi + 1 else 0)
-                )
-                rhs = (A(k, l, m + n) - A(k, l, n - m).scale(parity_sign(m * dim))).scale(w)
-                if not (lhs - rhs).is_zero():
-                    yield f"[G[{gi}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
+    def ga_failures():
+        for gi, (k, l), m, n in product(range(1, dim), idx, rng, rng):
+            lhs = bracket_abstract(G(gi, m), A(k, l, n))
+            w = (
+                (1 if gi == k else 0)
+                - (1 if k == gi + 1 else 0)
+                - (1 if l == gi else 0)
+                + (1 if l == gi + 1 else 0)
+            )
+            rhs = (A(k, l, m + n) - A(k, l, n - m).scale(parity_sign(m * dim))).scale(w)
+            if not (lhs - rhs).is_zero():
+                yield f"[G[{gi}]^({m}), A[{k},{l}]^({n})] residual {lhs - rhs}"
 
-        def gg_failures():
-            for gi, gj, m, n in product(range(1, dim), range(1, dim), rng, rng):
-                if not bracket_abstract(G(gi, m), G(gj, n)).is_zero():
-                    yield f"[G[{gi}]^({m}), G[{gj}]^({n})] nonzero"
+    def gg_failures():
+        for gi, gj, m, n in product(range(1, dim), range(1, dim), rng, rng):
+            if not bracket_abstract(G(gi, m), G(gj, n)).is_zero():
+                yield f"[G[{gi}]^({m}), G[{gj}]^({n})] nonzero"
 
-        bad = next(aa_failures(), None)
-        report.add("AA-relation", bad is None, bad)
-        bad = next(ga_failures(), None)
-        report.add("GA-relation", bad is None, bad)
-        bad = next(gg_failures(), None)
-        report.add("GG-commute", bad is None, bad)
+    bad = next(aa_failures(), None)
+    report.add("AA-relation", bad is None, bad)
+    bad = next(ga_failures(), None)
+    report.add("GA-relation", bad is None, bad)
+    bad = next(gg_failures(), None)
+    report.add("GG-commute", bad is None, bad)
     return report
 
 
@@ -238,22 +236,21 @@ def check_OAn_presentation(dim: int) -> Report:
     if dim < 3:
         raise ValueError("the N-generator presentation check needs N >= 3")
     report = Report("verify onsager-oan", {"n": dim})
-    with timer(report):
-        gens = oan_generators(dim)
+    gens = oan_generators(dim)
 
-        def residuals():
-            for i in range(dim):
-                for j in range(dim):
-                    if i == j:
-                        continue
-                    if abs(i - j) in (1, dim - 1):  # adjacent on the cycle
-                        yield (f"[[e{i+1},[e{i+1},e{j+1}]] - e{j+1}",
-                               bracket_abstract(gens[i], bracket_abstract(gens[i], gens[j])) - gens[j])
-                    else:
-                        yield f"[e{i+1},e{j+1}]", bracket_abstract(gens[i], gens[j])
+    def residuals():
+        for i in range(dim):
+            for j in range(dim):
+                if i == j:
+                    continue
+                if abs(i - j) in (1, dim - 1):  # adjacent on the cycle
+                    yield (f"[[e{i+1},[e{i+1},e{j+1}]] - e{j+1}",
+                           bracket_abstract(gens[i], bracket_abstract(gens[i], gens[j])) - gens[j])
+                else:
+                    yield f"[e{i+1},e{j+1}]", bracket_abstract(gens[i], gens[j])
 
-        bad = next((f"{label} residual {r}" for label, r in residuals() if not r.is_zero()), None)
-        report.add("n-generator-presentation", bad is None, bad)
+    bad = next((f"{label} residual {r}" for label, r in residuals() if not r.is_zero()), None)
+    report.add("n-generator-presentation", bad is None, bad)
     return report
 
 
@@ -277,15 +274,14 @@ def build_B_matrix(dim: int, cutoff: int) -> GeneratorMatrix:
 def check_Bxg(dim: int, cutoff: int) -> Report:
     """embed(B(x)) == T+(x) + theta1(T+(x)), the latter in matrix form."""
     report = Report("verify onsager-bxg", {"n": dim, "cutoff": cutoff})
-    with timer(report):
-        lhs = build_B_matrix(dim, cutoff).map_entries(embed)
-        rhs = build_T(1, dim, cutoff) + theta1_matrix_image(build_T(-1, dim, cutoff))
-        mism = lhs.first_mismatch(rhs, (0, cutoff))
-        detail = None
-        if mism:
-            e, i, j, a, b = mism
-            detail = f"exponent {e} entry ({i},{j}): {entry_str(a)} vs {entry_str(b)}"
-        report.add("frt-form-of-B", mism is None, detail)
+    lhs = build_B_matrix(dim, cutoff).map_entries(embed)
+    rhs = build_T(1, dim, cutoff) + theta1_matrix_image(build_T(-1, dim, cutoff))
+    mism = lhs.first_mismatch(rhs, (0, cutoff))
+    detail = None
+    if mism:
+        e, i, j, a, b = mism
+        detail = f"exponent {e} entry ({i},{j}): {entry_str(a)} vs {entry_str(b)}"
+    report.add("frt-form-of-B", mism is None, detail)
     return report
 
 
@@ -326,14 +322,13 @@ def reflection_mismatch(dim: int, cutoff: int, r12=None, r21=None):
 
 def check_reflection(dim: int, cutoff: int) -> Report:
     report = Report("verify reflection", {"n": dim, "cutoff": cutoff})
-    with timer(report):
-        mism, window = reflection_mismatch(dim, cutoff)
-        detail = None if mism is None else mismatch_detail(mism)
-        report.add(f"reflection [window {window}]", mism is None, detail)
-        # tr_1 B(x) = 0 holds structurally through the trace reduction
-        bad = build_B_matrix(dim, cutoff).first_trace()
-        report.add("tracelessness", bad is None,
-                   bad and f"exponent {bad[0]}: trace {bad[1]}")
+    mism, window = reflection_mismatch(dim, cutoff)
+    detail = None if mism is None else mismatch_detail(mism)
+    report.add(f"reflection [window {window}]", mism is None, detail)
+    # tr_1 B(x) = 0 holds structurally through the trace reduction
+    bad = build_B_matrix(dim, cutoff).first_trace()
+    report.add("tracelessness", bad is None,
+               bad and f"exponent {bad[0]}: trace {bad[1]}")
     return report
 
 
@@ -365,18 +360,6 @@ def currents_mismatch(dim: int, cutoff: int):
     dxy = x - y
     dprod = x * y - SpectralLaurent.const(sigma)
     clearing = rbar_clearing(dim)
-    # every kernel below is dprod times x, y or their mean, or dxy times
-    # x*y, a constant or their mean, up to a constant factor
-    multipliers = [clearing, dprod * x, dprod * y, dxy * x * y, dxy]
-    b = build_B_matrix(dim, cutoff)
-    bx, by, window = windowed(b, b, cutoff, multipliers)
-    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, window)
-
-    # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); its constant
-    # term is nonzero only for i > j
-    def currents(b):
-        return {(i, j): {n: m[j, i] for n, m in b.coeffs.items() if (j, i) in m}
-                for i in range(1, dim + 1) for j in range(1, dim + 1)}
 
     # the kernels depend only on sign(k - l), sign(i - j) and the parities
     # of k + l and i + j, so each is built once, with both signs; the y-side
@@ -388,6 +371,17 @@ def currents_mismatch(dim: int, cutoff: int):
     w = {s: pm(dprod * (x * _H(s) + y * _H(-s)) * 2) for s in signs}
     u = {(s, p): pm(dxy * (x * y * _H(-s) + SpectralLaurent.const(sigma * _H(s))) * (2 * p))
          for s in signs for p in (1, -1)}
+
+    multipliers = [clearing] + [k for ks in (*w.values(), *u.values()) for k in ks.values()]
+    b = build_B_matrix(dim, cutoff)
+    bx, by, window = windowed(b, b, cutoff, multipliers)
+    lhs = BiSeries.bracket_cross(bx, by, bracket_abstract).convolve(clearing, window)
+
+    # the current 2 sum x^n B_ij^(n) is entry (j, i) of B(x); its constant
+    # term is nonzero only for i > j
+    def currents(b):
+        return {(i, j): {n: m[j, i] for n, m in b.coeffs.items() if (j, i) in m}
+                for i in range(1, dim + 1) for j in range(1, dim + 1)}
 
     cur_x = currents(bx)
     cur_y = currents(by)
@@ -418,11 +412,10 @@ def currents_mismatch(dim: int, cutoff: int):
 
 def check_currents(dim: int, cutoff: int) -> Report:
     report = Report("verify currents", {"n": dim, "cutoff": cutoff})
-    with timer(report):
-        mism, window = currents_mismatch(dim, cutoff)
-        detail = None
-        if mism is not None:
-            pair, a, b, diff = mism
-            detail = f"currents {pair} monomial x^{a} y^{b} residual {diff}"
-        report.add(f"current-relations [window {window}]", mism is None, detail)
+    mism, window = currents_mismatch(dim, cutoff)
+    detail = None
+    if mism is not None:
+        pair, a, b, diff = mism
+        detail = f"currents {pair} monomial x^{a} y^{b} residual {diff}"
+    report.add(f"current-relations [window {window}]", mism is None, detail)
     return report

@@ -1,9 +1,13 @@
-"""Deterministic check reports shared by the library and the CLI."""
+"""Deterministic check reports shared by the library and the CLI.
+
+A report carries no clock: a library check leaves `elapsed_ms` at 0, so
+the same call builds the same report, and `cli.main` stamps the one
+elapsed time a printed report shows.
+"""
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -73,21 +77,6 @@ class Report:
             f"{len(self.checks)} checks, {n_fail} failed ({self.elapsed_ms} ms)"
         )
         return "\n".join(lines)
-
-
-class timer:
-    """Context manager stamping elapsed milliseconds onto a report."""
-
-    def __init__(self, report: Report):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed_ms = int((time.monotonic() - self.t0) * 1000)
-        return False
 
 
 def mono_str(mono) -> str:

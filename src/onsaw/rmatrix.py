@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import SpectralLaurent, add_entry, coeff_key, laurent_exact_div
-from .report import Check, Report, mono_str, timer
+from .report import Check, Report, mono_str
 
 
 def _sl(value) -> SpectralLaurent:
@@ -490,15 +490,13 @@ def _residual_check(name: str, residual: TensorOperator) -> Check:
 
 def check_skew(dim: int) -> Report:
     report = Report("verify skew", {"n": dim})
-    with timer(report):
-        report.add_check(_residual_check("skew-symmetry", skew_residual(dim)))
+    report.add_check(_residual_check("skew-symmetry", skew_residual(dim)))
     return report
 
 
 def check_cybe(dim: int) -> Report:
     report = Report("verify cybe", {"n": dim})
-    with timer(report):
-        report.add_check(_residual_check("cybe", cybe_residual(*cybe_operators(dim))))
+    report.add_check(_residual_check("cybe", cybe_residual(*cybe_operators(dim))))
     return report
 
 
@@ -510,9 +508,8 @@ def check_rbar_fold(dim: int) -> Check:
 
 def check_ns_cybe(dim: int) -> Report:
     report = Report("verify ns-cybe", {"n": dim})
-    with timer(report):
-        report.add_check(check_rbar_fold(dim))
-        report.add_check(
-            _residual_check("ns-cybe", ns_cybe_residual(*ns_cybe_operators(dim)))
-        )
+    report.add_check(check_rbar_fold(dim))
+    report.add_check(
+        _residual_check("ns-cybe", ns_cybe_residual(*ns_cybe_operators(dim)))
+    )
     return report

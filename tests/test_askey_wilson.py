@@ -466,6 +466,12 @@ def test_match_failure_reasons():
         ("isomorphism", "fail", "bracket (e1,f2) not preserved under signs (-1, -1, -1)")]
 
 
+def test_match_rejects_tables_of_different_dimension():
+    rep = aw.match_tables(aw.aw3_table(), aw.aw4_table())
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("dimension", "fail", "8 vs 15")]
+
+
 def test_export_import_roundtrip(tmp_path):
     tbl, _ = aw.extract_structure_constants(3)
     data = aw.export_table(tbl)

@@ -72,6 +72,19 @@ def test_trace_condition_negative_control():
     assert not resid.is_zero()
 
 
+def test_trace_condition_check_names_the_entry(monkeypatch):
+    # M(x) whose entry (1,2) gains x
+    def bad_M(dim, xv="x"):
+        m = ch.build_M(dim, xv)
+        return m.with_entry((1,), (2,), m.entry((1,), (2,)) + SpectralLaurent.variable(xv))
+
+    real = ch.trace_condition_residual
+    monkeypatch.setattr(ch, "trace_condition_residual", lambda dim: real(dim, bad_M))
+    rep = ch.check_trace_condition(2)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("trace-condition", "fail", "entry (1,)->(1,) residual coefficient 2*ka1_2")]
+
+
 def _trace_kernels(dim, i, j):
     """Kernels of the cancellation pattern, read off the computed trace.
 
@@ -170,6 +183,42 @@ def test_charges_match_display():
 def test_b_commutativity():
     assert ch.check_b_commutativity(2, 6).ok()
     assert ch.check_b_commutativity(3, 5).ok()
+
+
+def test_charge_formulas_negative_control(monkeypatch):
+    # the closed form at n=1 gains B[1,2]^(3); I_0 is untouched
+    real = ch.displayed_charge
+
+    def bad_display(dim, n):
+        out = real(dim, n)
+        return out + on.canonicalize_B(dim, 1, 2, 3) if n == 1 else out
+
+    monkeypatch.setattr(ch, "displayed_charge", bad_display)
+    rep = ch.check_charge_formulas(2, 1)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("I_0 closed form (proportionality 2)", "pass", None),
+        ("I_1 closed form", "fail",
+         "not proportional: expansion (-2*mu1+2*mu2)*B[1,1]^(2) + 2*ka1_2*B[1,2]^(1)"
+         " + 2*ks1_2*B[1,2]^(2) + 2*ka1_2*B[2,1]^(1) + 2*ks1_2*B[1,2]^(0)"),
+        ("generic formula boundary n=1", "fail", "generic(1) differs from I_1"),
+    ]
+
+
+def test_b_commutativity_negative_control(monkeypatch):
+    # b_0 gains B[1,2]^(1)
+    real = ch.build_b
+
+    def bad_b(dim, cutoff):
+        series = real(dim, cutoff)
+        series[0] = series[0] + on.canonicalize_B(dim, 1, 2, 1)
+        return series
+
+    monkeypatch.setattr(ch, "build_b", bad_b)
+    rep = ch.check_b_commutativity(2, 3)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("generating-function-commutativity", "fail",
+         "[b_0, b_1] = 4*ka1_2*B[1,1]^(2) + (2*mu1-2*mu2)*B[1,2]^(3)"
+         " + (-2*mu1+2*mu2)*B[2,1]^(1)")]
 
 
 def test_charge_commutativity():

@@ -158,6 +158,18 @@ def test_reports_deterministic(argv, capsys):
     assert json.dumps(_normalized_json(out1)) == json.dumps(_normalized_json(out2))
 
 
+def test_library_reports_carry_no_clock():
+    first, second = aw.check_aw(4), aw.check_aw(4)
+    assert first.elapsed_ms == 0
+    assert first.as_dict() == second.as_dict()
+
+
+def test_cli_stamps_elapsed_ms(capsys):
+    code, out = run_cli(["verify", "aw", "--n", "4", "--format", "json"], capsys)
+    assert code == 0
+    assert type(json.loads(out)["elapsed_ms"]) is int
+
+
 def test_failure_exit_code(monkeypatch, capsys):
     # force a failing check through a corrupted residual
     from onsaw import rmatrix as rm

@@ -121,6 +121,20 @@ def test_theta_matrix_forms():
     assert frt.check_theta_matrix_form("theta2", 2, 4).ok()  # symbolic eps
 
 
+def test_theta_matrix_form_negative_control(monkeypatch):
+    # theta1 negates its image of 2 e[1,2]^(1), an entry of T+ only
+    real = frt.apply_theta1
+    target = la.unit(2, la.off(1, 2, 1)).scale(2)
+    monkeypatch.setattr(frt, "apply_theta1",
+                        lambda el: -real(el) if el == target else real(el))
+    rep = frt.check_theta_matrix_form("theta1", 2, 2)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("theta1-matrix-form-T+", "fail",
+         "exponent 1 entry (2,1): matrix 2*e[2,1]^(-1) vs generator -2*e[2,1]^(-1)"),
+        ("theta1-matrix-form-T-", "pass", None),
+    ]
+
+
 def test_frt_relations_small():
     rep = frt.check_frt(2, 6)
     assert rep.ok(), [c.detail for c in rep.failures()]

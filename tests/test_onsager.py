@@ -221,6 +221,23 @@ def test_Bxg():
     assert on.check_Bxg(3, 5).ok()
 
 
+def test_Bxg_negative_control(monkeypatch):
+    # B[1,2]^(1) planted at exponent 1, entry (1,2)
+    build = on.build_B_matrix
+
+    def bad_B(dim, cutoff):
+        b = build(dim, cutoff)
+        b.coeffs[1][1, 2] = b.coeffs[1][1, 2] + on.canonicalize_B(dim, 1, 2, 1)
+        return b
+
+    monkeypatch.setattr(on, "build_B_matrix", bad_B)
+    rep = on.check_Bxg(2, 3)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("frt-form-of-B", "fail",
+         "exponent 1 entry (1,2): 2*e[1,2]^(-1) + e[1,2]^(1) + e[2,1]^(-1) + 2*e[2,1]^(1)"
+         " vs 2*e[1,2]^(-1) + 2*e[2,1]^(1)")]
+
+
 def test_reflection():
     rep = on.check_reflection(2, 6)
     assert rep.ok(), [c.detail for c in rep.failures()]

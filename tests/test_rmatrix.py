@@ -148,13 +148,20 @@ def test_skew():
         assert rm.check_skew(dim).ok()
 
 
-def test_skew_negative_control():
+def test_skew_negative_control(monkeypatch):
     r = rm.build_r(2)
     bad = r.with_entry((1, 2), (2, 1), -r.entry((1, 2), (2, 1)))
     resid = rm.skew_residual(2, bad)
     loc = resid.first_nonzero()
     assert loc is not None
     assert (loc[0], loc[1]) == ((1, 2), (2, 1))
+    # through the check: the fail branch shared by skew, CYBE, ns-CYBE and
+    # the rbar fold
+    real = rm.skew_residual
+    monkeypatch.setattr(rm, "skew_residual", lambda dim: real(dim, bad))
+    rep = rm.check_skew(2)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == [
+        ("skew-symmetry", "fail", "entry (1, 2)->(2, 1) monomial [(y,1)] residual -4")]
 
 
 def test_cybe():
